@@ -146,9 +146,9 @@ type clientConfig struct {
 	opt       Options
 	storePath string
 	cache     bool
-	// concurrency overrides opt.Parallelism when positive. Kept apart
-	// from opt so WithConcurrency wins regardless of option order.
-	concurrency int
+	// parallelism overrides opt.Parallelism when positive. Kept apart
+	// from opt so WithParallelism wins regardless of option order.
+	parallelism int
 }
 
 // ClientOption configures a Client.
@@ -161,10 +161,9 @@ func WithOptions(opt Options) ClientOption {
 }
 
 // WithStore attaches a persistent result store at path — a directory of
-// checksummed append segments (a legacy JSON-lines file at the path is
-// imported once): cache misses consult the store before simulating and
-// fresh results are written back, so results survive across processes.
-// Close releases it.
+// checksummed append segments: cache misses consult the store before
+// simulating and fresh results are written back, so results survive
+// across processes. Close releases it.
 func WithStore(path string) ClientOption {
 	return func(c *clientConfig) { c.storePath = path }
 }
@@ -182,47 +181,17 @@ func WithCache(enabled bool) ClientOption {
 // any argument order, and also bounds interval-parallel runs (see
 // Options.Intervals). It does not affect results.
 func WithParallelism(n int) ClientOption {
-	return func(c *clientConfig) { c.concurrency = n }
+	return func(c *clientConfig) { c.parallelism = n }
 }
 
-// WithConcurrency bounds concurrently executing simulations.
-//
-// Deprecated: use WithParallelism, which matches the Options.Parallelism
-// field it overrides.
-func WithConcurrency(n int) ClientOption { return WithParallelism(n) }
+// Counters is a snapshot of a simulation suite's cache and run counters
+// (runs, hits, cache and store hits, dedup waits, warmup shares, ...).
+type Counters = sim.Counters
 
-// ClientMetrics is a snapshot of a client's cache effectiveness counters.
+// ClientMetrics is a snapshot of a client's cache effectiveness counters
+// and per-stage timings.
 type ClientMetrics struct {
-	// Runs counts simulations actually executed.
-	Runs uint64 `json:"runs"`
-	// Hits counts requests served without a fresh simulation (memory,
-	// store, or a coalesced in-flight duplicate).
-	Hits uint64 `json:"hits"`
-	// CacheHits counts requests served from the in-memory striped cache.
-	CacheHits uint64 `json:"cache_hits"`
-	// CacheMisses counts requests that found neither a cached result nor
-	// an in-flight duplicate.
-	CacheMisses uint64 `json:"cache_misses"`
-	// DedupWaits counts requests coalesced onto an in-flight duplicate
-	// run (singleflight).
-	DedupWaits uint64 `json:"dedup_waits"`
-	// StoreHits counts cache misses served from the persistent store.
-	StoreHits uint64 `json:"store_hits"`
-	// StoreErrors counts failed persistent-store writes (results were
-	// still computed and served).
-	StoreErrors uint64 `json:"store_errors"`
-	// WarmupShares counts runs that skipped their warmup by resuming from
-	// a shared warmup checkpoint (same machine/benchmark/warmup, differing
-	// only in fault or recovery configuration).
-	WarmupShares uint64 `json:"warmup_shares"`
-	// IntervalRuns counts runs executed interval-parallel (Options.Intervals
-	// > 1).
-	IntervalRuns uint64 `json:"interval_runs"`
-	// RecoveryRuns counts runs executed under a checkpoint/rollback
-	// recovery policy (Machine.CkptInterval > 0).
-	RecoveryRuns uint64 `json:"recovery_runs"`
-	// Rollbacks counts checkpoint rollbacks across all recovery runs.
-	Rollbacks uint64 `json:"rollbacks"`
+	Counters
 	// Stages summarizes wall-clock time spent in each internal stage of
 	// serving simulations (cache_lookup, store_fetch, engine_run, ...),
 	// one entry per stage observed so far, in stage-name order.
@@ -262,8 +231,8 @@ func NewClient(opts ...ClientOption) (*Client, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.concurrency > 0 {
-		cfg.opt.Parallelism = cfg.concurrency
+	if cfg.parallelism > 0 {
+		cfg.opt.Parallelism = cfg.parallelism
 	}
 	c := &Client{cfg: cfg, reg: telemetry.NewRegistry()}
 	if cfg.storePath != "" {
@@ -380,18 +349,8 @@ func (c *Client) Metrics() ClientMetrics {
 		return ClientMetrics{}
 	}
 	return ClientMetrics{
-		Runs:         c.sims.Runs(),
-		Hits:         c.sims.Hits(),
-		CacheHits:    c.sims.CacheHits(),
-		CacheMisses:  c.sims.CacheMisses(),
-		DedupWaits:   c.sims.DedupWaits(),
-		StoreHits:    c.sims.StoreHits(),
-		StoreErrors:  c.sims.StoreErrors(),
-		WarmupShares: c.sims.WarmupShares(),
-		IntervalRuns: c.sims.IntervalRuns(),
-		RecoveryRuns: c.sims.RecoveryRuns(),
-		Rollbacks:    c.sims.Rollbacks(),
-		Stages:       stageSummaries(c.sims.StageSnapshots()),
+		Counters: c.sims.Counters(),
+		Stages:   stageSummaries(c.sims.StageSnapshots()),
 	}
 }
 
@@ -433,7 +392,7 @@ type CampaignSpec = campaign.Spec
 type CampaignResult = campaign.Result
 
 // CampaignProgress is a running campaign snapshot delivered to the
-// progress callback of Client.Campaign.
+// WithProgress callback of Client.StartCampaign.
 type CampaignProgress = campaign.Progress
 
 // CampaignTrial is one classified fault-injection trial.
@@ -472,21 +431,6 @@ const DefaultRepairCycles = campaign.DefaultRepairCycles
 // CampaignSpec.Recovery and cmd/faultstudy's -recover flag.
 func ParseRecoveryMode(mode string) (RecoveryPolicy, error) { return recovery.ParseMode(mode) }
 
-// Campaign runs a Monte Carlo fault-injection campaign synchronously.
-// The progress callback, when non-nil, receives a serialized snapshot
-// after every finished trial.
-//
-// Deprecated: use StartCampaign, which returns a cancelable CampaignJob
-// and takes progress as a WithProgress option. This wrapper is
-// StartCampaign followed by Wait.
-func (c *Client) Campaign(ctx context.Context, spec CampaignSpec, progress func(CampaignProgress)) (*CampaignResult, error) {
-	var opts []JobOption[CampaignProgress]
-	if progress != nil {
-		opts = append(opts, WithProgress(progress))
-	}
-	return c.StartCampaign(ctx, spec, opts...).Wait(ctx)
-}
-
 // ---------------------------------------------------------------------------
 // Design-space exploration.
 
@@ -511,7 +455,7 @@ type ExploreResult = explore.Result
 type ExploreEval = explore.Eval
 
 // ExploreProgress is a running exploration snapshot delivered to the
-// progress callback of Client.Explore.
+// WithProgress callback of Client.StartExplore.
 type ExploreProgress = explore.Progress
 
 // ExploreStrategies lists the selectable search strategies.
@@ -526,21 +470,6 @@ func MachineSpec(m Machine) string { return m.Spec() }
 // minimize (see explore.Cost).
 func ExploreCost(m Machine) float64 { return explore.Cost(m) }
 
-// Explore runs a design-space exploration synchronously. The progress
-// callback, when non-nil, receives a serialized snapshot after every
-// finished evaluation.
-//
-// Deprecated: use StartExplore, which returns a cancelable ExploreJob
-// and takes progress as a WithProgress option. This wrapper is
-// StartExplore followed by Wait.
-func (c *Client) Explore(ctx context.Context, spec ExploreSpec, progress func(ExploreProgress)) (*ExploreResult, error) {
-	var opts []JobOption[ExploreProgress]
-	if progress != nil {
-		opts = append(opts, WithProgress(progress))
-	}
-	return c.StartExplore(ctx, spec, opts...).Wait(ctx)
-}
-
 // ---------------------------------------------------------------------------
 // Experiments.
 
@@ -552,72 +481,6 @@ func ExperimentNames() []string { return experiments.Names() }
 // order — the same registry that drives validation everywhere, so the
 // docs can never drift from the runnable set again.
 func ExperimentCatalog() []ExperimentInfo { return experiments.Catalog() }
-
-// ---------------------------------------------------------------------------
-// Deprecated package-level wrappers. They predate Client and remain so
-// old call sites keep compiling; each one delegates to the same
-// machinery a client uses, but without any shared cache.
-
-// Simulate runs the named benchmark on machine m and returns its result.
-//
-// Deprecated: use NewClient and Client.Simulate, which share a result
-// cache across calls.
-func Simulate(m Machine, benchmark string, opt Options) (Result, error) {
-	return SimulateContext(context.Background(), m, benchmark, opt)
-}
-
-// SimulateContext is Simulate bounded by ctx: cancellation or a deadline
-// stops the simulation at the next engine checkpoint.
-//
-// Deprecated: use NewClient and Client.Simulate.
-func SimulateContext(ctx context.Context, m Machine, benchmark string, opt Options) (Result, error) {
-	p, err := workload.ByName(benchmark)
-	if err != nil {
-		return Result{}, err
-	}
-	return sim.RunContext(ctx, m, p, opt)
-}
-
-// SimulateProfile runs a custom workload profile on machine m.
-//
-// Deprecated: use NewClient and Client.SimulateProfile.
-func SimulateProfile(m Machine, p Profile, opt Options) (Result, error) {
-	return sim.Run(m, p, opt)
-}
-
-// SimulateProfileContext is SimulateProfile bounded by ctx.
-//
-// Deprecated: use NewClient and Client.SimulateProfile.
-func SimulateProfileContext(ctx context.Context, m Machine, p Profile, opt Options) (Result, error) {
-	return sim.RunContext(ctx, m, p, opt)
-}
-
-// RunExperiment regenerates one table or figure and returns its rendered
-// text. The runnable set is ExperimentNames (one source of truth; see
-// also ExperimentCatalog for titles).
-//
-// Deprecated: use NewClient and Client.Experiment, which return a typed
-// *Report (its String method is this function's return value).
-func RunExperiment(name string, opt Options) (string, error) {
-	return RunExperimentContext(context.Background(), name, opt)
-}
-
-// RunExperimentContext is RunExperiment bounded by ctx.
-//
-// Deprecated: use NewClient and Client.Experiment.
-func RunExperimentContext(ctx context.Context, name string, opt Options) (string, error) {
-	rep, err := experiments.NewSuite(opt).Run(ctx, name)
-	if err != nil {
-		return "", err
-	}
-	return rep.String(), nil
-}
-
-// NewExperimentSuite returns a suite that caches simulation results across
-// experiments (the full reproduction shares most configurations).
-func NewExperimentSuite(opt Options) *experiments.Suite {
-	return experiments.NewSuite(opt)
-}
 
 // ---------------------------------------------------------------------------
 // Engine-level access for custom drivers.

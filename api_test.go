@@ -2,7 +2,10 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
+	"maps"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,7 +41,7 @@ func TestClientSimulate(t *testing.T) {
 }
 
 func TestClientSweep(t *testing.T) {
-	c, err := NewClient(WithOptions(testClientOptions), WithConcurrency(8))
+	c, err := NewClient(WithOptions(testClientOptions), WithParallelism(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +101,7 @@ func TestClientExperiment(t *testing.T) {
 }
 
 func TestClientStore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.jsonl")
+	path := filepath.Join(t.TempDir(), "results.db")
 	c, err := NewClient(WithOptions(testClientOptions), WithStore(path))
 	if err != nil {
 		t.Fatal(err)
@@ -181,22 +184,6 @@ func TestFacadeWorkloads(t *testing.T) {
 	}
 }
 
-func TestFacadeSimulate(t *testing.T) {
-	opt := QuickOptions()
-	opt.MeasureInstrs = 20000
-	opt.WarmupInstrs = 10000
-	res, err := Simulate(SHREC(), "gzip-graphic", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IPC() <= 0 || res.Machine != "SHREC" || res.Benchmark != "gzip-graphic" {
-		t.Fatalf("result = %+v", res)
-	}
-	if _, err := Simulate(SS1(), "not-a-benchmark", opt); err == nil {
-		t.Fatal("unknown benchmark accepted")
-	}
-}
-
 func TestFacadeEngine(t *testing.T) {
 	p, _ := WorkloadByName("parser")
 	e := NewEngine(SS1(), p)
@@ -240,23 +227,6 @@ func TestFacadeExperimentNames(t *testing.T) {
 	}
 }
 
-func TestFacadeRunExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run in short mode")
-	}
-	opt := Options{WarmupInstrs: 5000, MeasureInstrs: 10000}
-	out, err := RunExperiment("fig5", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "Stagger") || !strings.Contains(out, "Integer Low") {
-		t.Fatalf("fig5 output malformed:\n%s", out)
-	}
-	if _, err := RunExperiment("fig99", opt); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-}
-
 func TestFacadeTraceCapture(t *testing.T) {
 	rec, err := CaptureTrace("parser", 5000, 500)
 	if err != nil {
@@ -282,7 +252,7 @@ func TestClientCampaign(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewClient(
 		WithOptions(Options{WarmupInstrs: 2_000, MeasureInstrs: 5_000}),
-		WithStore(filepath.Join(dir, "trials.jsonl")),
+		WithStore(filepath.Join(dir, "trials.db")),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +261,8 @@ func TestClientCampaign(t *testing.T) {
 
 	spec := CampaignSpec{Machine: "shrec", Benchmark: "crafty", Trials: 6, FaultRate: 2e-4, Seed: 9}
 	var snaps int
-	res, err := c.Campaign(context.Background(), spec, func(p CampaignProgress) { snaps++ })
+	ctx := context.Background()
+	res, err := c.StartCampaign(ctx, spec, WithProgress(func(CampaignProgress) { snaps++ })).Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,13 +280,13 @@ func TestClientCampaign(t *testing.T) {
 	// A second client over the same store resumes every trial.
 	c2, err := NewClient(
 		WithOptions(Options{WarmupInstrs: 2_000, MeasureInstrs: 5_000}),
-		WithStore(filepath.Join(dir, "trials.jsonl")),
+		WithStore(filepath.Join(dir, "trials.db")),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	res2, err := c2.Campaign(context.Background(), spec, nil)
+	res2, err := c2.StartCampaign(ctx, spec).Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +299,7 @@ func TestClientExplore(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewClient(
 		WithOptions(Options{WarmupInstrs: 2_000, MeasureInstrs: 5_000}),
-		WithStore(filepath.Join(dir, "evals.jsonl")),
+		WithStore(filepath.Join(dir, "evals.db")),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +315,8 @@ func TestClientExplore(t *testing.T) {
 		Seed:     9,
 	}
 	var snaps int
-	res, err := c.Explore(context.Background(), spec, func(p ExploreProgress) { snaps++ })
+	ctx := context.Background()
+	res, err := c.StartExplore(ctx, spec, WithProgress(func(ExploreProgress) { snaps++ })).Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,13 +344,13 @@ func TestClientExplore(t *testing.T) {
 	// A second client over the same store resumes every evaluation.
 	c2, err := NewClient(
 		WithOptions(Options{WarmupInstrs: 2_000, MeasureInstrs: 5_000}),
-		WithStore(filepath.Join(dir, "evals.jsonl")),
+		WithStore(filepath.Join(dir, "evals.db")),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	res2, err := c2.Explore(context.Background(), spec, nil)
+	res2, err := c2.StartExplore(ctx, spec).Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +362,7 @@ func TestClientExplore(t *testing.T) {
 // TestClientMetricsStages pins that the client's telemetry registry is
 // threaded into its suite: after a simulation, Metrics().Stages reports
 // the engine_run stage (and cache_lookup from the request path) with
-// plausible timings.
+// plausible timings, and the metrics keep their JSON key set.
 func TestClientMetricsStages(t *testing.T) {
 	c, err := NewClient(WithOptions(testClientOptions))
 	if err != nil {
@@ -413,5 +385,27 @@ func TestClientMetricsStages(t *testing.T) {
 	}
 	if _, ok := stages["cache_lookup"]; !ok {
 		t.Fatalf("no cache_lookup stage in %+v", stages)
+	}
+
+	// The wire shape: the embedded Counters flatten into the same
+	// top-level keys ClientMetrics has always had, next to stages.
+	raw, err := json.Marshal(c.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.Sorted(maps.Keys(got))
+	want := []string{
+		"cache_hits", "cache_misses", "dedup_waits", "hits", "interval_runs", "recovery_runs",
+		"rollbacks", "runs", "stages", "store_errors", "store_hits", "warmup_shares",
+	}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("ClientMetrics JSON keys = %v, want %v", keys, want)
+	}
+	if string(got["runs"]) != "1" {
+		t.Fatalf("runs = %s, want 1", got["runs"])
 	}
 }

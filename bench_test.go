@@ -195,21 +195,6 @@ func BenchmarkFigure8(b *testing.B) {
 	runMachines(b, machines...)
 }
 
-// BenchmarkEnginePerMode reports raw simulation speed per execution model.
-func BenchmarkEnginePerMode(b *testing.B) {
-	p, _ := workload.ByName("twolf")
-	for _, m := range []config.Machine{config.SS1(), config.SS2(config.Factors{S: true}), config.SHREC()} {
-		b.Run(m.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			e := core.New(m, trace.New(p))
-			b.ResetTimer()
-			if _, err := e.Run(uint64(b.N)); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
 // BenchmarkSuiteCache measures the memoizing suite on tiny runs.
 func BenchmarkSuiteCache(b *testing.B) {
 	opt := sim.Options{WarmupInstrs: 1000, MeasureInstrs: 2000}
@@ -232,8 +217,13 @@ func BenchmarkSuiteCache(b *testing.B) {
 // Example-style sanity check keeping the bench file honest about what it
 // measures.
 func Example() {
-	opt := sim.Options{WarmupInstrs: 2000, MeasureInstrs: 4000}
-	res, err := Simulate(SS1(), "gzip-graphic", opt)
+	c, err := NewClient(WithOptions(Options{WarmupInstrs: 2000, MeasureInstrs: 4000}))
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	defer c.Close()
+	res, err := c.Simulate(context.Background(), SS1(), "gzip-graphic")
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -4,13 +4,13 @@
 //
 //	experiments [-run fig2,table2,...|all] [-format text|json|csv] [-o file]
 //	            [-n instrs] [-warmup instrs] [-par N] [-quick]
-//	            [-store results.jsonl] [-docs]
+//	            [-store results.db] [-docs]
 //
 // Each experiment produces a typed report rendered as fixed-width text
 // (the default, matching the paper's rows/series; see docs/EXPERIMENTS.md
 // for the generated catalog), a JSON array of report objects, or one tidy
-// CSV stream. With -store, simulation results persist to a JSON-lines
-// file and later runs (of any experiment sharing configurations) reuse
+// CSV stream. With -store, simulation results persist to a segmented
+// store directory and later runs (of any experiment sharing configurations) reuse
 // them instead of resimulating. Ctrl-C cancels in-flight simulations
 // promptly.
 //
@@ -50,7 +50,7 @@ func main() {
 		warmup    = flag.Uint64("warmup", 0, "warmup instructions per run (default 500,000)")
 		par       = flag.Int("par", 0, "max parallel simulations (default GOMAXPROCS)")
 		quick     = flag.Bool("quick", false, "short runs (100k measured) for a fast smoke pass")
-		storePath = flag.String("store", "", "persist simulation results to this JSON-lines file and reuse them across runs")
+		storePath = flag.String("store", "", "persist simulation results in this store directory and reuse them across runs")
 		docs      = flag.Bool("docs", false, "emit the experiment catalog as Markdown (no simulations) and exit")
 	)
 	flag.Parse()
@@ -153,11 +153,7 @@ func main() {
 		}
 	}
 	if *storePath != "" {
-		msg := fmt.Sprintf("(%d simulated, %d cache hits; store %s", sims.Runs(), sims.Hits(), *storePath)
-		if n := sims.StoreErrors(); n > 0 {
-			msg += fmt.Sprintf(", %d write failures", n)
-		}
-		fmt.Fprintln(os.Stderr, msg+")")
+		fmt.Fprintf(os.Stderr, "(%s; store %s)\n", sims.Counters().Summary(), *storePath)
 	}
 }
 
@@ -190,7 +186,7 @@ func catalogMarkdown() string {
 		fmt.Fprintf(&b, "go run ./cmd/experiments -run %s -quick   # smoke scale\n", e.Name)
 		fmt.Fprintf(&b, "curl -s localhost:8080/experiments/%s     # via shrecd (JSON)\n```\n\n", e.Name)
 	}
-	b.WriteString("Common flags: `-format text|json|csv`, `-o file`, `-store results.jsonl`\n")
+	b.WriteString("Common flags: `-format text|json|csv`, `-o file`, `-store results.db`\n")
 	b.WriteString("(persist and reuse simulation runs), `-n`/`-warmup` (run lengths),\n")
 	b.WriteString("`-par` (parallelism). See `go run ./cmd/experiments -h`.\n")
 	return b.String()

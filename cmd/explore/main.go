@@ -116,7 +116,7 @@ func main() {
 		seed      = flag.Uint64("seed", 0xF00D, "exploration master seed")
 		budget    = flag.Int("budget", 0, "full-fidelity evaluation budget (0 = strategy default)")
 		screenDiv = flag.Int("screendiv", 0, "halving screen run-length divisor (0 = default)")
-		storeP    = flag.String("store", "", "persist evaluations in this store directory (resumable; a legacy JSON-lines file is imported once)")
+		storeP    = flag.String("store", "", "persist evaluations in this store directory (resumable)")
 		format    = flag.String("format", "text", "output format: text, json, or csv")
 		out       = flag.String("o", "", "write output to file (default stdout)")
 		quiet     = flag.Bool("q", false, "suppress progress on stderr")
@@ -217,7 +217,6 @@ func main() {
 		os.Exit(1)
 	}
 	if *storeP != "" && !*quiet {
-		fmt.Fprintf(os.Stderr, "(%d simulated, %d store hits; store %s)\n",
-			sims.Runs(), sims.StoreHits(), *storeP)
+		fmt.Fprintf(os.Stderr, "(%s; store %s)\n", sims.Counters().Summary(), *storeP)
 	}
 }

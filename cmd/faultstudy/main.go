@@ -69,7 +69,7 @@ func main() {
 		trials   = flag.Int("trials", 40, "fault-injection trials per (machine, rate) cell")
 		seed     = flag.Uint64("seed", 0xF00D, "campaign master seed")
 		recMode  = flag.String("recover", "", `checkpoint/rollback recovery mode, e.g. "ckpt@64k+depth2" (default: none)`)
-		storeP   = flag.String("store", "", "persist per-trial results in this store directory (resumable; a legacy JSON-lines file is imported once)")
+		storeP   = flag.String("store", "", "persist per-trial results in this store directory (resumable)")
 		logLevel = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 		logFmt   = flag.String("log-format", "text", "structured log format: text, json")
 	)
@@ -178,8 +178,7 @@ func main() {
 	}
 	fmt.Print(rep.String())
 	if *storeP != "" {
-		fmt.Fprintf(os.Stderr, "(%d simulated, %d store hits; store %s)\n",
-			sims.Runs(), sims.StoreHits(), *storeP)
+		fmt.Fprintf(os.Stderr, "(%s; store %s)\n", sims.Counters().Summary(), *storeP)
 	}
 	// Stage timing summary at debug: where the sweep's wall-clock went.
 	for _, st := range sims.StageSnapshots() {

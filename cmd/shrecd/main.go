@@ -14,7 +14,6 @@
 //	GET  /experiments         the experiment catalog (names and titles)
 //	GET  /experiments/{name}  regenerate one paper table/figure as a typed
 //	                          report (?format=text|json|csv or Accept)
-//	POST /experiments/{name}  deprecated pre-report shape (text wrapped in JSON)
 //	POST /campaigns           start an async fault-injection campaign
 //	                          {"machine":"shrec","benchmark":"swim","trials":1000}
 //	GET  /campaigns           list campaign jobs with progress
@@ -32,7 +31,7 @@
 // Duplicate in-flight requests for the same (machine, benchmark,
 // options) key share one simulation; results are cached in memory and,
 // with -store, persisted across restarts in a checksummed segmented
-// store (a pre-existing JSON-lines file at the path is imported once).
+// store.
 // With -journal, accepted campaigns and explorations are journaled
 // before they run and re-adopted at the next startup, so a crashed or
 // killed server resumes its jobs with only in-flight trials re-executed.
@@ -87,7 +86,7 @@ func main() {
 		maxInstrs = flag.Int64("maxinstrs", 0, "cap on per-request warmup+measure instructions (0 = default 10M, negative = uncapped)")
 		maxTrials = flag.Int("maxtrials", 0, "cap on per-campaign trial count (0 = default 10000)")
 		maxCamps  = flag.Int("maxcampaigns", 0, "bound on tracked campaign jobs (0 = default 64)")
-		storePath = flag.String("store", "", "persist results in this segmented store directory across restarts (a legacy JSON-lines file here is imported once)")
+		storePath = flag.String("store", "", "persist results in this segmented store directory across restarts")
 		journalP  = flag.String("journal", "", "write-ahead job journal directory: accepted campaigns/explorations survive crashes and are re-adopted at startup")
 		watchdog  = flag.Duration("watchdog", 0, "fail running jobs that report no progress for this long (0 = disabled)")
 		shed      = flag.Duration("shed", 0, "shed POSTs queued longer than this with 429+Retry-After (0 = default 5s, negative = queue indefinitely)")

@@ -6,7 +6,13 @@
 //	shrecsim -bench swim -machine shrec [-n instrs] [-warmup instrs]
 //	         [-stagger N] [-xscale F] [-faultrate P]
 //
-// Machines: ss1, ss2, ss2+<factors> (e.g. ss2+sc, ss2+xscb), shrec.
+// -machine takes any machine spec config.ByName accepts: a base — ss1,
+// ss2, ss2+<factors> (e.g. ss2+sc, ss2+xscb), shrec, diva, o3rs,
+// meek@N (N checker lanes), or flex@P:onL (check the first L of every P
+// fetched instructions) — followed by optional modifiers: @x<f>,
+// +stagger<n>, +ctx<k> (SHREC checker contexts, e.g. shrec+ctx4),
+// +fux<f>, +mshr<n>, +ports<n>, +rate<p>, +ckpt<n>, +depth<n>. See
+// internal/config/spec.go for the full grammar.
 package main
 
 import (
@@ -25,7 +31,7 @@ import (
 func main() {
 	var (
 		bench     = flag.String("bench", "swim", "benchmark name (see cmd/workloads for the list)")
-		machine   = flag.String("machine", "shrec", "machine: ss1, ss2, ss2+<factors>, shrec")
+		machine   = flag.String("machine", "shrec", "machine spec: ss1, ss2, ss2+<factors>, shrec, diva, o3rs, meek@N, flex@P:onL, plus modifiers like shrec+ctx4 or ss2+sc@x1.5+stagger256")
 		n         = flag.Uint64("n", 1_000_000, "measured instructions")
 		warm      = flag.Uint64("warmup", 200_000, "warmup instructions")
 		stagger   = flag.Int("stagger", -1, "override the SS2 maximum stagger")

@@ -59,11 +59,12 @@ func main() {
 	// Restrict the interval axis to non-zero entries before adding a
 	// depth axis: depth without an interval is rejected statically.
 
-	res, err := c.Explore(context.Background(), spec, func(p repro.ExploreProgress) {
+	ctx := context.Background()
+	res, err := c.StartExplore(ctx, spec, repro.WithProgress(func(p repro.ExploreProgress) {
 		if p.Done == p.Total {
 			fmt.Printf("  %s pass: %d/%d evaluations\n", p.Phase, p.Done, p.Total)
 		}
-	})
+	})).Wait(ctx)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "availability-frontier:", err)
 		os.Exit(1)

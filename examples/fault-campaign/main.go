@@ -48,15 +48,16 @@ func main() {
 		Seed:      42,
 	}
 
+	ctx := context.Background()
 	// The progress callback streams the running coverage estimate; a
 	// server would publish these snapshots (shrecd's POST /campaigns
 	// does exactly that).
-	res, err := c.Campaign(context.Background(), spec, func(p repro.CampaignProgress) {
+	res, err := c.StartCampaign(ctx, spec, repro.WithProgress(func(p repro.CampaignProgress) {
 		if p.Done%40 == 0 || p.Done == p.Total {
 			fmt.Printf("  %3d/%d trials, coverage %.1f%% [%.1f%%, %.1f%%]\n",
 				p.Done, p.Total, 100*p.Coverage.Point, 100*p.Coverage.Lo, 100*p.Coverage.Hi)
 		}
-	})
+	})).Wait(ctx)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fault-campaign:", err)
 		os.Exit(1)

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -23,7 +24,12 @@ func main() {
 	bench := flag.String("bench", "crafty", "benchmark to run")
 	flag.Parse()
 
-	opt := repro.Options{WarmupInstrs: 200_000, MeasureInstrs: 600_000}
+	c, err := repro.NewClient(repro.WithOptions(repro.Options{WarmupInstrs: 200_000, MeasureInstrs: 600_000}))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fault-injection:", err)
+		os.Exit(1)
+	}
+	defer c.Close()
 	fmt.Printf("injecting transient faults at rate %.0e on %s\n\n", *rate, *bench)
 	fmt.Printf("%-8s %8s %9s %9s %7s %8s %10s\n",
 		"machine", "IPC", "injected", "detected", "silent", "recover", "coverage")
@@ -36,7 +42,7 @@ func main() {
 		m := base
 		m.FaultRate = *rate
 		m.FaultSeed = 2004 // MICRO-37
-		res, err := repro.Simulate(m, *bench, opt)
+		res, err := c.Simulate(context.Background(), m, *bench)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fault-injection:", err)
 			os.Exit(1)

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -36,11 +37,17 @@ func main() {
 		Intervals:     8,
 	}
 
+	// Each run gets its own cacheless client, so the second run simulates
+	// afresh instead of being served the first run's result.
 	run := func(parallelism int) (repro.Result, time.Duration) {
-		o := opt
-		o.Parallelism = parallelism
 		start := time.Now()
-		res, err := repro.SimulateProfile(m, p, o)
+		c, err := repro.NewClient(repro.WithOptions(opt), repro.WithParallelism(parallelism), repro.WithCache(false))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "interval-parallel:", err)
+			os.Exit(1)
+		}
+		defer c.Close()
+		res, err := c.SimulateProfile(context.Background(), m, p)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "interval-parallel:", err)
 			os.Exit(1)

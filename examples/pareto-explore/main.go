@@ -53,15 +53,16 @@ func main() {
 		Seed:       42,
 	}
 
+	ctx := context.Background()
 	// The progress callback streams the evaluation phases; a server
 	// would publish these snapshots (shrecd's POST /explorations does
 	// exactly that).
-	res, err := c.Explore(context.Background(), spec, func(p repro.ExploreProgress) {
+	res, err := c.StartExplore(ctx, spec, repro.WithProgress(func(p repro.ExploreProgress) {
 		if p.Done == p.Total {
 			fmt.Printf("  %s pass: %d/%d evaluations (%d resumed)\n",
 				p.Phase, p.Done, p.Total, p.Resumed)
 		}
-	})
+	})).Wait(ctx)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pareto-explore:", err)
 		os.Exit(1)

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -25,7 +26,12 @@ func main() {
 	}
 	staggers := []int{0, 64, 256, 1024, 1 << 20}
 
-	opt := repro.Options{WarmupInstrs: 300_000, MeasureInstrs: 500_000}
+	c, err := repro.NewClient(repro.WithOptions(repro.Options{WarmupInstrs: 300_000, MeasureInstrs: 500_000}))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stagger-study:", err)
+		os.Exit(1)
+	}
+	defer c.Close()
 	fmt.Printf("%-12s", "benchmark")
 	for _, s := range staggers {
 		fmt.Printf(" %9s", staggerLabel(s))
@@ -36,7 +42,7 @@ func main() {
 		fmt.Printf("%-12s", bench)
 		for _, s := range staggers {
 			m := repro.SS2(repro.Factors{S: true, C: true}).WithStagger(s)
-			res, err := repro.Simulate(m, bench, opt)
+			res, err := c.Simulate(context.Background(), m, bench)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "\nstagger-study:", err)
 				os.Exit(1)

@@ -63,7 +63,7 @@ func TestThousandTrialCampaign(t *testing.T) {
 	}
 	// The suite's own counters agree: it simulated exactly the remaining
 	// trials plus the golden run.
-	if got, want := sims.Runs(), uint64(res.Executed)+1; got != want {
+	if got, want := sims.Counters().Runs, uint64(res.Executed)+1; got != want {
 		t.Fatalf("suite executed %d simulations, want %d (executed trials + golden)", got, want)
 	}
 	if len(res.Trials) != trials {

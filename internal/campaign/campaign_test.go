@@ -195,7 +195,7 @@ func TestCampaignResume(t *testing.T) {
 		t.Fatalf("resumed campaign: resumed %d, executed %d, want 10/0", second.Resumed, second.Executed)
 	}
 	// Only the golden run may simulate on resume.
-	if runs := sims.Runs(); runs > 1 {
+	if runs := sims.Counters().Runs; runs > 1 {
 		t.Fatalf("resumed campaign re-simulated %d runs", runs)
 	}
 	for i := range first.Trials {

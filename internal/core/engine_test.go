@@ -337,19 +337,3 @@ func TestXScaleImprovesHighILP(t *testing.T) {
 		t.Fatalf("doubling X helped too little on FU-bound FP: %.3f -> %.3f", base, wide)
 	}
 }
-
-func BenchmarkSS1Engine(b *testing.B) {
-	e := New(config.SS1(), trace.New(testWorkload(1)))
-	b.ResetTimer()
-	if _, err := e.Run(uint64(b.N)); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkSHRECEngine(b *testing.B) {
-	e := New(config.SHREC(), trace.New(testWorkload(1)))
-	b.ResetTimer()
-	if _, err := e.Run(uint64(b.N)); err != nil {
-		b.Fatal(err)
-	}
-}

@@ -338,7 +338,7 @@ func TestExploreResume(t *testing.T) {
 	// The suite's counter agrees: one simulation per executed evaluation
 	// (one benchmark each) plus the SS2 slowdown baseline. Resumed
 	// evaluations run nothing.
-	if got, want := sims.Runs(), uint64(res.Executed)+1; got != want {
+	if got, want := sims.Counters().Runs, uint64(res.Executed)+1; got != want {
 		t.Fatalf("suite executed %d simulations, want %d (executed evals + baseline)", got, want)
 	}
 	if len(res.Evals) != res.Points || len(res.Frontier) == 0 {

@@ -69,8 +69,8 @@ func TestMetricsExpositionLint(t *testing.T) {
 		t.Fatalf("exposition lint failed:\n%v", err)
 	}
 
-	// The families the telemetry layer added, plus a sample of the legacy
-	// counters that must have survived the registry rewrite.
+	// The families the telemetry layer added, plus a sample of the suite
+	// counter families (TestMetrics checks every one of those).
 	for _, family := range []string{
 		"shrecd_http_requests_total",
 		"shrecd_http_request_seconds",

@@ -227,34 +227,17 @@ func NewWith(cfg Config, sims *sim.Suite) *Server {
 }
 
 // registerMetrics declares every /metrics family on the registry. The
-// pre-existing atomics are exported through Func samplers read at scrape
-// time, so the hot paths keep their plain atomic increments; the job and
-// HTTP histograms are registered here and observed by the job goroutines
-// and middleware.
+// suite's counters (one shrecd_sim_<name>_total family per sim.Counters
+// field) and the server's own atomics are exported through Func samplers
+// read at scrape time, so the hot paths keep their plain atomic
+// increments; the job and HTTP histograms are registered here and
+// observed by the job goroutines and middleware.
 func (s *Server) registerMetrics() {
 	r := s.reg
-	r.CounterFunc("shrecd_sim_runs_total",
-		"Simulations actually executed (cache misses).", s.sims.Runs)
-	r.CounterFunc("shrecd_sim_hits_total",
-		"Requests served from memory, store, or an in-flight duplicate.", s.sims.Hits)
-	r.CounterFunc("shrecd_sim_cache_hits_total",
-		"Requests served from the in-memory striped result cache.", s.sims.CacheHits)
-	r.CounterFunc("shrecd_sim_cache_misses_total",
-		"Requests that found neither a cached result nor an in-flight duplicate.", s.sims.CacheMisses)
-	r.CounterFunc("shrecd_sim_dedup_waits_total",
-		"Requests coalesced onto an in-flight duplicate run (singleflight).", s.sims.DedupWaits)
-	r.CounterFunc("shrecd_sim_store_hits_total",
-		"Cache misses served from the persistent store.", s.sims.StoreHits)
-	r.CounterFunc("shrecd_sim_store_errors_total",
-		"Failed persistent-store writes.", s.sims.StoreErrors)
-	r.CounterFunc("shrecd_sim_warmup_shares_total",
-		"Runs that resumed from a shared warmup checkpoint instead of re-warming.", s.sims.WarmupShares)
-	r.CounterFunc("shrecd_sim_interval_runs_total",
-		"Runs executed interval-parallel.", s.sims.IntervalRuns)
-	r.CounterFunc("shrecd_sim_recovery_runs_total",
-		"Runs executed under a checkpoint/rollback recovery policy.", s.sims.RecoveryRuns)
-	r.CounterFunc("shrecd_sim_rollbacks_total",
-		"Checkpoint rollbacks across all recovery runs.", s.sims.Rollbacks)
+	for _, f := range sim.CounterFields {
+		r.CounterFunc("shrecd_sim_"+f.Name+"_total", f.Help,
+			func() uint64 { return f.Value(s.sims.Counters()) })
+	}
 	// Shard sizes are summed without copying any results, so scrapes stay
 	// cheap no matter how large the cache grows.
 	r.GaugeFunc("shrecd_results_cached",
@@ -384,7 +367,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /simulate", s.handleSimulate)
 	mux.HandleFunc("GET /experiments", s.handleCatalog)
 	mux.HandleFunc("GET /experiments/{name}", s.handleExperiment)
-	mux.HandleFunc("POST /experiments/{name}", s.handleExperimentLegacy)
 	mux.HandleFunc("POST /campaigns", s.handleCampaignStart)
 	mux.HandleFunc("GET /campaigns", s.handleCampaignList)
 	mux.HandleFunc("GET /campaigns/{id}", s.handleCampaignGet)
@@ -622,23 +604,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleExperimentLegacy serves the pre-report POST /experiments/{name}
-// shape: a JSON wrapper around the text rendering.
-//
-// Deprecated: clients should move to GET /experiments/{name}.
-func (s *Server) handleExperimentLegacy(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	rep, ok := s.runExperiment(w, r, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"experiment": rep.Name,
-		"elapsed_s":  time.Since(start).Seconds(),
-		"output":     rep.String(),
-	})
-}
-
 // resultSummary is one GET /results row. Run lengths are included so
 // rows for the same (machine, benchmark) at different request-scoped
 // scales stay distinguishable.
@@ -668,31 +633,23 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			Retired:       res.Stats.Retired,
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":   len(out),
-		"runs":    s.sims.Runs(),
-		"hits":    s.sims.Hits(),
-		"results": out,
-	})
+	writeJSON(w, http.StatusOK, struct {
+		Count int `json:"count"`
+		sim.Counters
+		Results []resultSummary `json:"results"`
+	}{len(out), s.sims.Counters(), out})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	health := map[string]any{
 		"status":         "ok",
 		"uptime_s":       time.Since(s.start).Seconds(),
-		"runs":           s.sims.Runs(),
-		"hits":           s.sims.Hits(),
-		"cache_hits":     s.sims.CacheHits(),
-		"cache_misses":   s.sims.CacheMisses(),
-		"dedup_waits":    s.sims.DedupWaits(),
-		"store_hits":     s.sims.StoreHits(),
-		"store_errors":   s.sims.StoreErrors(),
-		"warmup_shares":  s.sims.WarmupShares(),
-		"interval_runs":  s.sims.IntervalRuns(),
-		"recovery_runs":  s.sims.RecoveryRuns(),
-		"rollbacks":      s.sims.Rollbacks(),
 		"max_concurrent": s.cfg.MaxConcurrent,
 		"shed_requests":  s.shedRequests.Load(),
+	}
+	c := s.sims.Counters()
+	for _, f := range sim.CounterFields {
+		health[f.Name] = f.Value(c)
 	}
 	// Store integrity: a scrape that shows quarantined records climbing
 	// (or compaction stalled) flags a disk going bad before reads fail.

@@ -1,10 +1,13 @@
 package shrecd
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -96,7 +99,7 @@ func TestSimulateDeduplicatesConcurrentRequests(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if runs := srv.Sims().Runs(); runs != 1 {
+	if runs := srv.Sims().Counters().Runs; runs != 1 {
 		t.Fatalf("%d duplicate requests ran %d simulations, want 1", callers, runs)
 	}
 }
@@ -105,25 +108,10 @@ func TestExperimentEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment endpoint runs 100 simulations; skipped in short mode")
 	}
-	// One server throughout: after the legacy POST fills the cache, every
-	// content-negotiated GET re-renders from cached results in
-	// milliseconds.
-	h := testServer().Handler()
-	w := postJSON(t, h, "/experiments/fig7", ``)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", w.Code, w.Body)
-	}
-	var resp struct {
-		Experiment string `json:"experiment"`
-		Output     string `json:"output"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Experiment != "fig7" || !strings.Contains(resp.Output, "SHREC") {
-		t.Fatalf("malformed experiment response: %+v", resp)
-	}
-
+	// One server throughout: after the first GET fills the cache, every
+	// other rendering re-runs from cached results in milliseconds.
+	srv := testServer()
+	h := srv.Handler()
 	get := func(path, accept string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodGet, path, nil)
 		if accept != "" {
@@ -134,9 +122,8 @@ func TestExperimentEndpoint(t *testing.T) {
 		return w
 	}
 
-	// Default format is JSON: a structured report whose text rendering
-	// matches the legacy output field.
-	w = get("/experiments/fig7", "")
+	// Default format is JSON: a structured report.
+	w := get("/experiments/fig7", "")
 	if w.Code != http.StatusOK || !strings.Contains(w.Header().Get("Content-Type"), "application/json") {
 		t.Fatalf("GET json: %d %s", w.Code, w.Header().Get("Content-Type"))
 	}
@@ -170,10 +157,14 @@ func TestExperimentEndpoint(t *testing.T) {
 		t.Fatalf("meta = %v", rep.Meta)
 	}
 
-	// ?format=text reproduces the legacy output byte-for-byte.
+	// ?format=text is the report's text rendering, byte for byte.
 	w = get("/experiments/fig7?format=text", "")
-	if w.Code != http.StatusOK || w.Body.String() != resp.Output {
-		t.Fatalf("text format diverges from legacy output (%d)", w.Code)
+	want, err := srv.exp.Run(context.Background(), "fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != http.StatusOK || w.Body.String() != want.String() {
+		t.Fatalf("text format diverges from Report.String (%d)", w.Code)
 	}
 
 	// CSV via Accept-header negotiation.
@@ -191,6 +182,11 @@ func TestExperimentEndpoint(t *testing.T) {
 	// Unknown format is a 400 before any simulation runs.
 	if w = get("/experiments/fig7?format=xml", ""); w.Code != http.StatusBadRequest {
 		t.Fatalf("format=xml status = %d", w.Code)
+	}
+
+	// The pre-report POST shape is gone: the path only answers GET.
+	if w = postJSON(t, h, "/experiments/fig7", ``); w.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /experiments/fig7 status = %d, want 405", w.Code)
 	}
 }
 
@@ -221,7 +217,10 @@ func TestExperimentCatalog(t *testing.T) {
 
 func TestExperimentUnknown(t *testing.T) {
 	h := testServer().Handler()
-	if w := postJSON(t, h, "/experiments/fig99", ``); w.Code != http.StatusNotFound {
+	req := httptest.NewRequest(http.MethodGet, "/experiments/fig99", nil)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404", w.Code)
 	}
 }
@@ -263,21 +262,51 @@ func TestResultsEndpoint(t *testing.T) {
 	}
 }
 
+// TestHealthz pins the exact /healthz key set, for a bare server and for
+// one with a result store and job journal attached (which add the store
+// and journal objects).
 func TestHealthz(t *testing.T) {
-	h := testServer().Handler()
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"ok"`) {
-		t.Fatalf("healthz = %d: %s", w.Code, w.Body)
+	counters := []string{
+		"runs", "hits", "cache_hits", "cache_misses", "dedup_waits", "store_hits",
+		"store_errors", "warmup_shares", "interval_runs", "recovery_runs", "rollbacks",
 	}
-	for _, key := range []string{
-		`"runs"`, `"hits"`, `"store_errors"`,
-		`"cache_hits"`, `"cache_misses"`, `"dedup_waits"`, `"store_hits"`,
-		`"warmup_shares"`, `"interval_runs"`, `"recovery_runs"`, `"rollbacks"`,
+	base := append([]string{"status", "uptime_s", "max_concurrent", "shed_requests"}, counters...)
+	rs, js := openJournalStores(t, t.TempDir())
+	defer rs.Close()
+	defer js.Close()
+	opt := sim.Options{WarmupInstrs: 2000, MeasureInstrs: 5000}
+	withStores := NewWith(Config{DefaultOptions: opt, Store: rs, Journal: js}, sim.NewSuite(opt).WithStore(rs))
+	defer withStores.Close()
+
+	for _, c := range []struct {
+		name string
+		srv  *Server
+		keys []string
+	}{
+		{"bare", testServer(), base},
+		{"store+journal", withStores, append([]string{"store", "journal"}, base...)},
 	} {
-		if !strings.Contains(w.Body.String(), key) {
-			t.Errorf("healthz missing %s: %s", key, w.Body)
+		var health map[string]json.RawMessage
+		if code := getJSON(t, c.srv.Handler(), "/healthz", &health); code != http.StatusOK {
+			t.Fatalf("%s: healthz = %d", c.name, code)
+		}
+		if string(health["status"]) != `"ok"` {
+			t.Errorf("%s: status = %s", c.name, health["status"])
+		}
+		got := slices.Sorted(maps.Keys(health))
+		want := slices.Sorted(slices.Values(c.keys))
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: healthz keys = %v, want %v", c.name, got, want)
+		}
+		if j, ok := health["journal"]; ok {
+			var journal map[string]json.RawMessage
+			if err := json.Unmarshal(j, &journal); err != nil {
+				t.Fatal(err)
+			}
+			got := slices.Sorted(maps.Keys(journal))
+			if want := []string{"depth", "readopted", "replayed", "store", "wedged"}; !slices.Equal(got, want) {
+				t.Errorf("journal keys = %v, want %v", got, want)
+			}
 		}
 	}
 }
@@ -298,21 +327,47 @@ func TestMetrics(t *testing.T) {
 		t.Fatalf("status = %d", w.Code)
 	}
 	body := w.Body.String()
-	for _, want := range []string{
-		"shrecd_sim_runs_total 1",
-		"shrecd_sim_hits_total 1",
-		"shrecd_sim_cache_hits_total 1",
-		"shrecd_sim_cache_misses_total 1",
-		"shrecd_sim_dedup_waits_total 0",
-		"shrecd_sim_store_hits_total 0",
-		"shrecd_sim_store_errors_total 0",
-		"shrecd_sim_warmup_shares_total 0",
-		"shrecd_sim_interval_runs_total 0",
-		"shrecd_sim_recovery_runs_total 0",
-		"shrecd_sim_rollbacks_total 0",
-		"shrecd_results_cached 1",
-		"shrecd_uptime_seconds",
-	} {
+	// Every suite counter is exported as its own family, each sample equal
+	// to the suite's snapshot after the requests above.
+	raw, err := json.Marshal(srv.Sims().Counters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counters map[string]uint64
+	if err := json.Unmarshal(raw, &counters); err != nil {
+		t.Fatal(err)
+	}
+	if counters["runs"] != 1 || counters["hits"] != 1 {
+		t.Fatalf("counters = %v, want one run and one hit", counters)
+	}
+	families := []string{
+		"shrecd_sim_runs_total",
+		"shrecd_sim_hits_total",
+		"shrecd_sim_cache_hits_total",
+		"shrecd_sim_cache_misses_total",
+		"shrecd_sim_dedup_waits_total",
+		"shrecd_sim_store_hits_total",
+		"shrecd_sim_store_errors_total",
+		"shrecd_sim_warmup_shares_total",
+		"shrecd_sim_interval_runs_total",
+		"shrecd_sim_recovery_runs_total",
+		"shrecd_sim_rollbacks_total",
+	}
+	if len(counters) != len(families) {
+		t.Fatalf("%d counters for %d pinned families: %v", len(counters), len(families), counters)
+	}
+	for _, family := range families {
+		name := strings.TrimSuffix(strings.TrimPrefix(family, "shrecd_sim_"), "_total")
+		v, ok := counters[name]
+		if !ok {
+			t.Errorf("family %s has no counter %q", family, name)
+			continue
+		}
+		if want := fmt.Sprintf("\n%s %d\n", family, v); !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q:\n%s", strings.TrimSpace(want), body)
+		}
+	}
+	for _, want := range []string{"shrecd_results_cached 1", "shrecd_uptime_seconds"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}

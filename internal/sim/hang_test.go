@@ -31,7 +31,7 @@ func TestHungResult(t *testing.T) {
 	if _, err := s.Get(context.Background(), config.SS1(), p); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Runs(); got != 1 {
+	if got := s.Counters().Runs; got != 1 {
 		t.Fatalf("hung result was not cached: %d runs", got)
 	}
 }
@@ -59,7 +59,7 @@ func TestFaultConfigsDoNotCollide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Runs(); got != 2 {
+	if got := s.Counters().Runs; got != 2 {
 		t.Fatalf("distinct fault seeds collided in the cache: %d runs", got)
 	}
 	// Different seeds sample different fault sites; the runs should not be

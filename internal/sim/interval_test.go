@@ -148,7 +148,7 @@ func TestSuiteWarmupSharing(t *testing.T) {
 				seed, warm.Stats, cold.Stats)
 		}
 	}
-	if got := s.WarmupShares(); got != 2 {
+	if got := s.Counters().WarmupShares; got != 2 {
 		t.Errorf("WarmupShares = %d, want 2 (both trials must resume the shared checkpoint)", got)
 	}
 }
@@ -177,7 +177,7 @@ func TestWarmupSharingRefusedWhenWindowOverlaps(t *testing.T) {
 	if warm.Stats != cold.Stats {
 		t.Errorf("overlapping-window trial diverged from cold run\ngot:  %+v\ncold: %+v", warm.Stats, cold.Stats)
 	}
-	if got := s.WarmupShares(); got != 0 {
+	if got := s.Counters().WarmupShares; got != 0 {
 		t.Errorf("WarmupShares = %d, want 0 (window overlaps warmup)", got)
 	}
 }

@@ -88,10 +88,10 @@ func TestRecoveryWarmupSharing(t *testing.T) {
 				seed, warm.Recovery, cold.Recovery)
 		}
 	}
-	if got := s.WarmupShares(); got != 2 {
+	if got := s.Counters().WarmupShares; got != 2 {
 		t.Errorf("WarmupShares = %d, want 2", got)
 	}
-	if got := s.RecoveryRuns(); got != 2 {
+	if got := s.Counters().RecoveryRuns; got != 2 {
 		t.Errorf("RecoveryRuns = %d, want 2", got)
 	}
 }

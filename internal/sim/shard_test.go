@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -43,20 +44,21 @@ func TestConcurrentGetSingleflight(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := s.Runs(); got != 1 {
-		t.Fatalf("%d concurrent callers triggered %d runs, want exactly 1", callers, got)
+	c := s.Counters()
+	if c.Runs != 1 {
+		t.Fatalf("%d concurrent callers triggered %d runs, want exactly 1", callers, c.Runs)
 	}
-	if got := s.Hits(); got != callers-1 {
-		t.Fatalf("hits = %d, want %d", got, callers-1)
+	if c.Hits != callers-1 {
+		t.Fatalf("hits = %d, want %d", c.Hits, callers-1)
 	}
 	// The split counters must agree: exactly one cache miss (the owner),
 	// and every other caller either joined the in-flight run or hit the
 	// cache after it finished.
-	if got := s.CacheMisses(); got != 1 {
-		t.Fatalf("cache misses = %d, want 1", got)
+	if c.CacheMisses != 1 {
+		t.Fatalf("cache misses = %d, want 1", c.CacheMisses)
 	}
-	if hits, waits := s.CacheHits(), s.DedupWaits(); hits+waits != callers-1 {
-		t.Fatalf("cache hits %d + dedup waits %d != %d", hits, waits, callers-1)
+	if c.CacheHits+c.DedupWaits != callers-1 {
+		t.Fatalf("cache hits %d + dedup waits %d != %d", c.CacheHits, c.DedupWaits, callers-1)
 	}
 	for i := 1; i < callers; i++ {
 		if results[i].Stats != results[0].Stats {
@@ -86,9 +88,8 @@ func TestCacheCounterSplit(t *testing.T) {
 	if _, err := s.Get(ctx, m, p); err != nil {
 		t.Fatal(err)
 	}
-	if s.CacheMisses() != 1 || s.CacheHits() != 1 || s.Runs() != 1 || s.StoreHits() != 0 {
-		t.Fatalf("after warm get: misses=%d hits=%d runs=%d storeHits=%d, want 1/1/1/0",
-			s.CacheMisses(), s.CacheHits(), s.Runs(), s.StoreHits())
+	if got, want := s.Counters(), (Counters{Runs: 1, Hits: 1, CacheHits: 1, CacheMisses: 1}); got != want {
+		t.Fatalf("after warm get: %+v, want %+v", got, want)
 	}
 
 	// A fresh suite over the same store must classify the serve as a
@@ -97,12 +98,33 @@ func TestCacheCounterSplit(t *testing.T) {
 	if _, err := s2.Get(ctx, m, p); err != nil {
 		t.Fatal(err)
 	}
-	if s2.CacheMisses() != 1 || s2.StoreHits() != 1 || s2.Runs() != 0 {
-		t.Fatalf("store-backed get: misses=%d storeHits=%d runs=%d, want 1/1/0",
-			s2.CacheMisses(), s2.StoreHits(), s2.Runs())
+	if got, want := s2.Counters(), (Counters{Hits: 1, CacheMisses: 1, StoreHits: 1}); got != want {
+		t.Fatalf("store-backed get: %+v, want %+v", got, want)
 	}
-	if s2.Hits() != 1 {
-		t.Fatalf("aggregate hits = %d, want 1", s2.Hits())
+}
+
+// Every Counters field carries the JSON and help tags its /metrics
+// family and JSON key derive from, and Summary renders runs plus the
+// nonzero counters in declaration order.
+func TestCounterFields(t *testing.T) {
+	seen := map[string]bool{}
+	for _, f := range CounterFields {
+		if f.Name == "" || f.Help == "" || seen[f.Name] {
+			t.Errorf("counter field %+v: missing or duplicate tag", f)
+		}
+		seen[f.Name] = true
+	}
+	if len(CounterFields) != reflect.TypeFor[Counters]().NumField() {
+		t.Fatalf("%d counter fields for %d struct fields", len(CounterFields), reflect.TypeFor[Counters]().NumField())
+	}
+	c := Counters{Hits: 3, StoreHits: 3}
+	if got, want := c.Summary(), "runs=0 hits=3 store_hits=3"; got != want {
+		t.Fatalf("Summary() = %q, want %q", got, want)
+	}
+	for _, f := range CounterFields {
+		if f.Name == "store_hits" && f.Value(c) != 3 {
+			t.Fatalf("store_hits field reads %d, want 3", f.Value(c))
+		}
 	}
 }
 
@@ -125,8 +147,8 @@ func TestDistinctOptionsDistinctRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Runs() != 2 {
-		t.Fatalf("runs = %d, want 2 (distinct options)", s.Runs())
+	if s.Counters().Runs != 2 {
+		t.Fatalf("runs = %d, want 2 (distinct options)", s.Counters().Runs)
 	}
 	if a.Stats.Retired >= b.Stats.Retired {
 		t.Fatalf("longer run retired fewer instructions: %d vs %d",
@@ -166,7 +188,7 @@ func TestBatchGetDeduplication(t *testing.T) {
 	wg.Wait()
 
 	want := uint64(len(machines) * len(profiles))
-	if got := s.Runs(); got != want {
+	if got := s.Counters().Runs; got != want {
 		t.Fatalf("runs = %d, want %d (one per unique pair)", got, want)
 	}
 }
@@ -195,8 +217,8 @@ func TestBatchAggregatesAllErrors(t *testing.T) {
 	if _, err := s.Get(context.Background(), config.SS1(), profiles[0]); err != nil {
 		t.Fatalf("healthy run poisoned by sibling errors: %v", err)
 	}
-	if s.Runs() != 1 {
-		t.Fatalf("runs = %d, want 1", s.Runs())
+	if s.Counters().Runs != 1 {
+		t.Fatalf("runs = %d, want 1", s.Counters().Runs)
 	}
 }
 
@@ -271,8 +293,8 @@ func TestSuiteStoreReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Runs() != 1 {
-		t.Fatalf("first suite runs = %d", s1.Runs())
+	if s1.Counters().Runs != 1 {
+		t.Fatalf("first suite runs = %d", s1.Counters().Runs)
 	}
 	if err := st1.Close(); err != nil {
 		t.Fatal(err)
@@ -288,8 +310,8 @@ func TestSuiteStoreReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Runs() != 0 {
-		t.Fatalf("second suite re-ran a stored result (%d runs)", s2.Runs())
+	if s2.Counters().Runs != 0 {
+		t.Fatalf("second suite re-ran a stored result (%d runs)", s2.Counters().Runs)
 	}
 	if res1.Stats != res2.Stats {
 		t.Fatal("stored result does not round-trip")

@@ -16,8 +16,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -336,16 +338,9 @@ type Suite struct {
 	cpMu sync.Mutex
 	cps  map[string]*cpEntry
 
-	runs         atomic.Uint64 // underlying simulations actually executed
-	cacheHits    atomic.Uint64 // requests served from the in-memory striped cache
-	cacheMiss    atomic.Uint64 // requests that found neither a result nor an in-flight run
-	dedupWaits   atomic.Uint64 // requests served by joining an in-flight duplicate run
-	storeHits    atomic.Uint64 // cache misses served from the persistent store
-	storeErrs    atomic.Uint64 // failed persistent-store writes (results still served)
-	warmupShares atomic.Uint64 // runs served from a shared warmup checkpoint
-	intervalRuns atomic.Uint64 // executed runs that used the interval-parallel path
-	recoveryRuns atomic.Uint64 // executed runs simulated under checkpoint recovery
-	rollbacks    atomic.Uint64 // total rollbacks across all recovery runs
+	// The live counters behind Counters (documented there).
+	runs, cacheHits, cacheMiss, dedupWaits, storeHits, storeErrs atomic.Uint64
+	warmupShares, intervalRuns, recoveryRuns, rollbacks          atomic.Uint64
 
 	// stages, when telemetry is attached, holds the sim_stage_seconds{stage}
 	// histogram family. All stage timing rides run boundaries — cache
@@ -418,53 +413,108 @@ func (s *Suite) observeStage(ctx context.Context, stage string, start time.Time)
 // Options returns the suite's run options.
 func (s *Suite) Options() Options { return s.opt }
 
-// Runs reports how many simulations the suite actually executed (cache
-// misses that were not deduplicated or served from disk).
-func (s *Suite) Runs() uint64 { return s.runs.Load() }
-
-// Hits reports how many requests were served without a fresh simulation:
-// from the in-memory cache, the persistent store, or by joining an
-// in-flight duplicate run.
-func (s *Suite) Hits() uint64 {
-	return s.cacheHits.Load() + s.dedupWaits.Load() + s.storeHits.Load()
+// Counters is a snapshot of a suite's cache and run counters. Each
+// field's JSON tag is the counter's one external name: repro.ClientMetrics
+// embeds the struct, shrecd serves it on /healthz and /results, and
+// CounterFields derives shrecd's shrecd_sim_<name>_total /metrics
+// families from the JSON and help tags. Adding a counter means adding a
+// tagged field here, its atomic on Suite, and its line in Suite.Counters.
+type Counters struct {
+	// Runs counts simulations actually executed (cache misses that were
+	// not deduplicated or served from the store).
+	Runs uint64 `json:"runs" help:"Simulations actually executed (cache misses)."`
+	// Hits counts requests served without a fresh simulation: CacheHits +
+	// DedupWaits + StoreHits.
+	Hits uint64 `json:"hits" help:"Requests served from memory, store, or an in-flight duplicate."`
+	// CacheHits counts requests served from the in-memory striped cache.
+	CacheHits uint64 `json:"cache_hits" help:"Requests served from the in-memory striped result cache."`
+	// CacheMisses counts requests that found neither a cached result nor
+	// an in-flight duplicate and went on to the store or a fresh run.
+	CacheMisses uint64 `json:"cache_misses" help:"Requests that found neither a cached result nor an in-flight duplicate."`
+	// DedupWaits counts requests coalesced onto an in-flight duplicate
+	// run (singleflight) instead of executing their own.
+	DedupWaits uint64 `json:"dedup_waits" help:"Requests coalesced onto an in-flight duplicate run (singleflight)."`
+	// StoreHits counts cache misses served from the persistent store.
+	StoreHits uint64 `json:"store_hits" help:"Cache misses served from the persistent store."`
+	// StoreErrors counts failed persistent-store writes (the results were
+	// still computed and served from memory).
+	StoreErrors uint64 `json:"store_errors" help:"Failed persistent-store writes."`
+	// WarmupShares counts runs that skipped their warmup by resuming a
+	// shared fault-free warmup checkpoint (fault-campaign trials whose
+	// injection window starts after the warmup).
+	WarmupShares uint64 `json:"warmup_shares" help:"Runs that resumed from a shared warmup checkpoint instead of re-warming."`
+	// IntervalRuns counts executed runs that took the interval-parallel
+	// path (Options.Intervals > 1).
+	IntervalRuns uint64 `json:"interval_runs" help:"Runs executed interval-parallel."`
+	// RecoveryRuns counts executed runs simulated under checkpoint
+	// recovery (a machine with CkptInterval set).
+	RecoveryRuns uint64 `json:"recovery_runs" help:"Runs executed under a checkpoint/rollback recovery policy."`
+	// Rollbacks counts checkpoint rollbacks across every recovery run.
+	Rollbacks uint64 `json:"rollbacks" help:"Checkpoint rollbacks across all recovery runs."`
 }
 
-// CacheHits reports requests served directly from the in-memory striped
-// result cache.
-func (s *Suite) CacheHits() uint64 { return s.cacheHits.Load() }
+// CounterField describes one Counters field by its tags.
+type CounterField struct {
+	Name  string // the JSON tag
+	Help  string // the help tag
+	index int
+}
 
-// CacheMisses reports requests that found neither a cached result nor an
-// in-flight duplicate and went on to the store or a fresh simulation.
-func (s *Suite) CacheMisses() uint64 { return s.cacheMiss.Load() }
+// Value returns the field's value in c.
+func (f CounterField) Value(c Counters) uint64 {
+	return reflect.ValueOf(c).Field(f.index).Uint()
+}
 
-// DedupWaits reports requests served by waiting on an in-flight duplicate
-// run (singleflight coalescing) instead of executing their own.
-func (s *Suite) DedupWaits() uint64 { return s.dedupWaits.Load() }
+// CounterFields lists every Counters field in declaration order.
+var CounterFields = func() []CounterField {
+	t := reflect.TypeFor[Counters]()
+	out := make([]CounterField, t.NumField())
+	for i := range out {
+		f := t.Field(i)
+		out[i] = CounterField{Name: f.Tag.Get("json"), Help: f.Tag.Get("help"), index: i}
+	}
+	return out
+}()
 
-// StoreHits reports cache misses that were served from the persistent
-// store rather than a fresh simulation.
-func (s *Suite) StoreHits() uint64 { return s.storeHits.Load() }
+// Summary renders c as space-separated name=value pairs for CLI status
+// lines: runs always, the other counters only when nonzero. (It is not
+// String, which embedding structs such as repro.ClientMetrics would
+// inherit.)
+func (c Counters) Summary() string {
+	var b strings.Builder
+	for i, f := range CounterFields {
+		if v := f.Value(c); i == 0 || v != 0 {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%s=%d", f.Name, v)
+		}
+	}
+	return b.String()
+}
 
-// StoreErrors reports how many results failed to persist to the attached
-// store (they were still computed and served from memory).
-func (s *Suite) StoreErrors() uint64 { return s.storeErrs.Load() }
+// Counters snapshots the suite's counters. Each atomic is loaded on its
+// own, so a snapshot taken under load may straddle concurrent requests.
+func (s *Suite) Counters() Counters {
+	c := Counters{
+		Runs:         s.runs.Load(),
+		CacheHits:    s.cacheHits.Load(),
+		CacheMisses:  s.cacheMiss.Load(),
+		DedupWaits:   s.dedupWaits.Load(),
+		StoreHits:    s.storeHits.Load(),
+		StoreErrors:  s.storeErrs.Load(),
+		WarmupShares: s.warmupShares.Load(),
+		IntervalRuns: s.intervalRuns.Load(),
+		RecoveryRuns: s.recoveryRuns.Load(),
+		Rollbacks:    s.rollbacks.Load(),
+	}
+	c.Hits = c.CacheHits + c.DedupWaits + c.StoreHits
+	return c
+}
 
-// WarmupShares reports how many simulations skipped their warmup by
-// resuming a shared fault-free warmup checkpoint (fault-campaign trials
-// whose injection window starts after the warmup).
-func (s *Suite) WarmupShares() uint64 { return s.warmupShares.Load() }
-
-// IntervalRuns reports how many executed simulations took the
-// interval-parallel path (Options.Intervals > 1).
-func (s *Suite) IntervalRuns() uint64 { return s.intervalRuns.Load() }
-
-// RecoveryRuns reports how many executed simulations ran under checkpoint
-// recovery (a machine with CkptInterval set).
-func (s *Suite) RecoveryRuns() uint64 { return s.recoveryRuns.Load() }
-
-// Rollbacks reports the total rollbacks performed across every executed
-// recovery run.
-func (s *Suite) Rollbacks() uint64 { return s.rollbacks.Load() }
+// StoreHits is Counters().StoreHits, kept as a method because the
+// perfbench harness, a separate module pinned to this API, calls it.
+func (s *Suite) StoreHits() uint64 { return s.Counters().StoreHits }
 
 // key identifies one (machine, benchmark, options) simulation. Run
 // lengths and the cycle budget are part of the key so one suite can serve

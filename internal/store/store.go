@@ -133,7 +133,6 @@ type Store struct {
 	tornTails      uint64 // torn tails truncated at open
 	compactions    uint64
 	lastCompaction time.Time
-	migrated       bool // legacy JSONL imported at this Open
 }
 
 // storeMeta is the meta.json shape pinning the shard layout.
@@ -143,8 +142,8 @@ type storeMeta struct {
 }
 
 // Open loads (or creates) the store at path with default options. The
-// path names a directory; a pre-existing single-file JSON-lines store at
-// the same path is imported into segment format first.
+// path names a directory; a regular file there is an error and is left
+// untouched.
 func Open(path string) (*Store, error) {
 	return OpenWith(path, Options{})
 }
@@ -153,12 +152,6 @@ func Open(path string) (*Store, error) {
 func OpenWith(path string, opt Options) (*Store, error) {
 	if opt.Shards <= 0 {
 		opt.Shards = 8
-	}
-	// A pre-segments store is a regular file of JSON lines where the
-	// store directory should be. Move it aside before creating the
-	// directory; it is imported below, after the scan.
-	if _, err := relocateLegacy(path); err != nil {
-		return nil, err
 	}
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -175,12 +168,6 @@ func OpenWith(path string, opt Options) (*Store, error) {
 	if err := s.loadSegments(); err != nil {
 		s.Close()
 		return nil, err
-	}
-	if backup := pendingLegacy(path); backup != "" {
-		if err := s.importLegacy(backup); err != nil {
-			s.Close()
-			return nil, err
-		}
 	}
 	return s, nil
 }
@@ -384,9 +371,6 @@ type Stats struct {
 	// zero until the first one.
 	Compactions    uint64    `json:"compactions"`
 	LastCompaction time.Time `json:"last_compaction,omitzero"`
-	// Migrated reports whether this Open imported a pre-segments
-	// JSON-lines store.
-	Migrated bool `json:"migrated,omitempty"`
 }
 
 // Stats summarizes the store's integrity state.
@@ -405,7 +389,6 @@ func (s *Store) Stats() Stats {
 	st.TornTails = s.tornTails
 	st.Compactions = s.compactions
 	st.LastCompaction = s.lastCompaction
-	st.Migrated = s.migrated
 	s.statMu.Unlock()
 	return st
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -190,64 +191,29 @@ func TestPutRollbackOnWriteError(t *testing.T) {
 	}
 }
 
-// TestLegacyJSONLMigration pins the migration shim satellite: a
-// pre-segments single-file store opens transparently, keeps every entry
-// (including last-write-wins and torn-tail skipping), and never
-// double-imports.
-func TestLegacyJSONLMigration(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "results.jsonl")
-	legacy := strings.Join([]string{
-		`{"key":"a","value":{"name":"first","value":1}}`,
-		`{"key":"b","value":{"name":"other","value":3}}`,
-		`{"key":"a","value":{"name":"second","value":2}}`,
-		`{"key":"torn","value":{"na`, // crashed old-format writer
-	}, "\n")
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+// TestOpenRejectsRegularFile pins that a regular file where the store
+// directory should be is refused with an error and left byte-identical:
+// the path is caller input, and Open must never move, rewrite, or
+// truncate a file it does not own.
+func TestOpenRejectsRegularFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	want := []byte(`{"key":"a","value":{"name":"first","value":1}}` + "\n" + `{"key":"torn","value":{"na`)
+	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	s, err := Open(path)
+	if s, err := Open(path); err == nil {
+		s.Close()
+		t.Fatal("Open accepted a regular file as a store directory")
+	}
+	got, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("file gone after rejected Open: %v", err)
 	}
-	if !s.Stats().Migrated {
-		t.Fatal("Stats.Migrated not reported")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("rejected Open changed the file:\n got %q\nwant %q", got, want)
 	}
-	var out payload
-	if ok, _ := s.Get("a", &out); !ok || out.Name != "second" {
-		t.Fatalf("legacy last-write-wins lost: %+v", out)
-	}
-	if ok, _ := s.Get("b", &out); !ok {
-		t.Fatal("legacy key lost")
-	}
-	if ok, _ := s.Get("torn", &out); ok {
-		t.Fatal("torn legacy line imported")
-	}
-	// The original must survive as a backup, and new writes must land in
-	// segments.
-	if _, err := os.Stat(path + legacyBackupSuffix); err != nil {
-		t.Fatalf("legacy backup missing: %v", err)
-	}
-	if err := s.Put("a", payload{Name: "post-migration", Value: 9}); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// Reopen: no double import — the post-migration write still wins.
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Stats().Migrated {
-		t.Fatal("second open re-imported the legacy file")
-	}
-	if ok, _ := s2.Get("a", &out); !ok || out.Name != "post-migration" {
-		t.Fatalf("backup stomped a post-migration write: %+v", out)
-	}
-	if s2.Len() != 2 {
-		t.Fatalf("len = %d, want 2", s2.Len())
+	if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {
+		t.Fatalf("rejected Open left %d entries beside the file, want only the file", len(entries))
 	}
 }
 

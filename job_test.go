@@ -45,14 +45,6 @@ func TestCampaignJob(t *testing.T) {
 	if err != nil || res2 != res {
 		t.Errorf("Result() = (%p, %v), want the same outcome Wait returned (%p)", res2, err, res)
 	}
-	// The synchronous wrapper must agree with the job it wraps.
-	sync, err := c.Campaign(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sync.Spec != res.Spec || len(sync.Trials) != len(res.Trials) {
-		t.Errorf("deprecated Campaign diverged from CampaignJob")
-	}
 }
 
 func TestExploreJob(t *testing.T) {
