@@ -244,7 +244,7 @@ func NewClient(opts ...ClientOption) (*Client, error) {
 	}
 	if cfg.cache {
 		c.sims = c.newSuite()
-		c.exp = experiments.NewSuiteWith(c.sims)
+		c.exp = experiments.NewSuite(c.sims)
 	}
 	return c, nil
 }
@@ -302,26 +302,7 @@ func (c *Client) SimulateProfile(ctx context.Context, m Machine, p Profile) (Res
 // profiles[j]. Partial failures abort the sweep with every failure
 // joined into one error.
 func (c *Client) Sweep(ctx context.Context, machines []Machine, profiles []Profile) ([]Result, error) {
-	suite := c.suite()
-	if err := suite.Batch(ctx, machines, profiles); err != nil {
-		return nil, err
-	}
-	out := make([]Result, 0, len(machines)*len(profiles))
-	for _, m := range machines {
-		for _, p := range profiles {
-			// Lookup, not Get: Batch just filled the cache, and counting
-			// the readback as hits would misstate cache effectiveness.
-			res, ok := suite.Lookup(m, p)
-			if !ok {
-				var err error
-				if res, err = suite.Get(ctx, m, p); err != nil {
-					return nil, err
-				}
-			}
-			out = append(out, res)
-		}
-	}
-	return out, nil
+	return c.suite().Batch(ctx, machines, profiles)
 }
 
 // Experiment regenerates one of the paper's tables or figures as a typed
@@ -329,7 +310,7 @@ func (c *Client) Sweep(ctx context.Context, machines []Machine, profiles []Profi
 func (c *Client) Experiment(ctx context.Context, name string) (*Report, error) {
 	exp := c.exp
 	if exp == nil {
-		exp = experiments.NewSuiteWith(c.newSuite())
+		exp = experiments.NewSuite(c.newSuite())
 	}
 	return exp.Run(ctx, name)
 }

@@ -69,9 +69,22 @@ func TestClientSweep(t *testing.T) {
 		t.Fatalf("cached results = %d", got)
 	}
 	// The readback must not masquerade as cache hits: a fresh sweep is
-	// 4 runs, 0 hits.
-	if m := c.Metrics(); m.Runs != 4 || m.Hits != 0 {
-		t.Fatalf("metrics after fresh sweep = %+v", m)
+	// 4 runs, 0 hits, and repeating it reads the cache without counting.
+	want := Counters{Runs: 4, CacheMisses: 4}
+	if got := c.Metrics().Counters; got != want {
+		t.Fatalf("counters after fresh sweep = %+v, want %+v", got, want)
+	}
+	again, err := c.Sweep(context.Background(), machines, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Metrics().Counters; got != want {
+		t.Fatalf("counters after repeated sweep = %+v, want %+v", got, want)
+	}
+	for i := range results {
+		if again[i].Stats != results[i].Stats {
+			t.Fatalf("repeated sweep result %d differs", i)
+		}
 	}
 }
 

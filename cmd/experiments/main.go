@@ -114,7 +114,7 @@ func main() {
 		out = buf
 	}
 
-	suite := experiments.NewSuiteWith(sims)
+	suite := experiments.NewSuite(sims)
 	var reports []*report.Report
 	for _, name := range names {
 		name = strings.TrimSpace(name)

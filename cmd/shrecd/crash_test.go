@@ -142,7 +142,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("starting golden campaign: %v; stderr:\n%s", err, gp.stderr)
 	}
-	gst, err := gr.WaitCampaign(ctx, gjob.ID)
+	gst, err := gr.Wait(ctx, gjob)
 	if err != nil {
 		t.Fatalf("golden campaign: %v; stderr:\n%s", err, gp.stderr)
 	}
@@ -163,7 +163,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("campaign id %q differs from golden %q; ids must be spec-derived", job.ID, gjob.ID)
 	}
 	for {
-		st, err := r1.CampaignStatus(ctx, job.ID)
+		st, err := r1.Status(ctx, job)
 		if err != nil {
 			t.Fatalf("polling crash campaign: %v; stderr:\n%s", err, p1.stderr)
 		}
@@ -181,7 +181,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	// before the listener comes up, so the first status poll finds it.
 	p2 := startShrecd(t, bin, storeDir, journalDir)
 	r2 := remoteFor(t, p2)
-	st, err := r2.WaitCampaign(ctx, job.ID)
+	st, err := r2.Wait(ctx, job)
 	if err != nil {
 		t.Fatalf("waiting for re-adopted campaign: %v; stderr:\n%s", err, p2.stderr)
 	}

@@ -40,7 +40,7 @@ func TestObsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("starting campaign: %v", err)
 	}
-	if _, err := r.WaitCampaign(ctx, job.ID); err != nil {
+	if _, err := r.Wait(ctx, job); err != nil {
 		t.Fatalf("campaign: %v\nstderr:\n%s", err, p.stderr)
 	}
 

@@ -32,7 +32,6 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -904,40 +903,14 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 	}
 	wg.Wait()
 
-	failed := make([]error, 0, len(errs))
-	for _, err := range errs {
-		if err != nil {
-			failed = append(failed, err)
-		}
-	}
-	if len(failed) > 0 {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			// Cancellation cascades into every outstanding trial; collapse
-			// the noise and keep only genuine failures (cf. sim.Batch).
-			real := failed[:0]
-			for _, err := range failed {
-				if !errors.Is(err, ctxErr) {
-					real = append(real, err)
-				}
-			}
-			return nil, errors.Join(append(real,
-				fmt.Errorf("campaign: interrupted with %d of %d trials done: %w",
-					countDone(errs), ns.Trials, ctxErr))...)
-		}
-		return nil, errors.Join(failed...)
+	// Cancellation cascades into every outstanding trial; JoinFanOut
+	// collapses that noise and keeps only genuine failures.
+	if err := sim.JoinFanOut(ctx, errs, func(done, total int) error {
+		return fmt.Errorf("campaign: interrupted with %d of %d trials done: %w", done, total, ctx.Err())
+	}); err != nil {
+		return nil, err
 	}
 	// res.Trials is index-addressed throughout, so it is already in
 	// trial order.
 	return res, nil
-}
-
-// countDone counts trials without an error (finished or resumed).
-func countDone(errs []error) int {
-	n := 0
-	for _, err := range errs {
-		if err == nil {
-			n++
-		}
-	}
-	return n
 }

@@ -33,16 +33,11 @@ type Suite struct {
 	profiles []trace.Profile
 }
 
-// NewSuite builds an experiment suite with the given run options.
-func NewSuite(opt sim.Options) *Suite {
-	return NewSuiteWith(sim.NewSuite(opt))
-}
-
-// NewSuiteWith builds an experiment suite over an existing simulation
-// suite, sharing its result cache (and any attached persistent store)
-// with other users — the shrecd server serves /simulate and
-// /experiments/{name} from one cache this way.
-func NewSuiteWith(sims *sim.Suite) *Suite {
+// NewSuite builds an experiment suite over a simulation suite, sharing
+// its result cache (and any attached persistent store) with other users
+// — the shrecd server serves /simulate and /experiments/{name} from one
+// cache this way.
+func NewSuite(sims *sim.Suite) *Suite {
 	return &Suite{
 		sims:     sims,
 		ints:     workload.Integer(),
@@ -191,7 +186,7 @@ func (s *Suite) newReport(name string) *report.Report {
 // charts (Figures 2, 3, 4, 7) as a table: one row per benchmark plus the
 // three harmonic-mean aggregate rows, one column per machine.
 func (s *Suite) addPerBenchmarkTable(ctx context.Context, rep *report.Report, title string, machines []config.Machine, profiles []trace.Profile) error {
-	if err := s.sims.Batch(ctx, machines, profiles); err != nil {
+	if _, err := s.sims.Batch(ctx, machines, profiles); err != nil {
 		return err
 	}
 	tb := rep.AddTable(title, append([]string{"benchmark"}, machineNames(machines)...)...)
@@ -286,7 +281,7 @@ func (s *Suite) Table2(ctx context.Context) (*report.Report, error) {
 	for i, f := range combos {
 		machines[i] = config.SS2(f)
 	}
-	if err := s.sims.Batch(ctx, machines, s.profiles); err != nil {
+	if _, err := s.sims.Batch(ctx, machines, s.profiles); err != nil {
 		return nil, err
 	}
 	base := machines[0] // plain SS2
@@ -357,7 +352,7 @@ func (s *Suite) Table3(ctx context.Context) (*report.Report, error) {
 	for i, f := range combos {
 		machines[i] = config.SS2(f)
 	}
-	if err := s.sims.Batch(ctx, machines, s.profiles); err != nil {
+	if _, err := s.sims.Batch(ctx, machines, s.profiles); err != nil {
 		return nil, err
 	}
 
@@ -450,7 +445,7 @@ func (s *Suite) Figure5(ctx context.Context) (*report.Report, error) {
 	for i, n := range staggers {
 		machines[i] = config.SS2(config.Factors{S: true, C: true}).WithStagger(n)
 	}
-	if err := s.sims.Batch(ctx, machines, s.profiles); err != nil {
+	if _, err := s.sims.Batch(ctx, machines, s.profiles); err != nil {
 		return nil, err
 	}
 	rep := s.newReport("fig5")
@@ -530,7 +525,7 @@ func (s *Suite) Figure8(ctx context.Context) (*report.Report, error) {
 		machines = append(machines,
 			config.SHREC().WithXScale(sc), config.SS2(config.Factors{}).WithXScale(sc))
 	}
-	if err := s.sims.Batch(ctx, machines, s.profiles); err != nil {
+	if _, err := s.sims.Batch(ctx, machines, s.profiles); err != nil {
 		return nil, err
 	}
 	rep := s.newReport("fig8")

@@ -18,7 +18,7 @@ func tinySuite() *Suite {
 		opt.WarmupInstrs = 500
 		opt.MeasureInstrs = 1500
 	}
-	return NewSuite(opt)
+	return NewSuite(sim.NewSuite(opt))
 }
 
 func TestNamesComplete(t *testing.T) {
@@ -191,7 +191,7 @@ func TestQualitativeOrderingAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("qualitative ordering needs run lengths beyond short mode")
 	}
-	s := NewSuite(sim.Options{WarmupInstrs: 10000, MeasureInstrs: 30000, Parallelism: 16})
+	s := NewSuite(sim.NewSuite(sim.Options{WarmupInstrs: 10000, MeasureInstrs: 30000, Parallelism: 16}))
 	if _, err := s.Figure7(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestGoldenTextAtQuickOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("QuickOptions golden render is minutes of simulation; full tier only")
 	}
-	s := NewSuite(sim.QuickOptions())
+	s := NewSuite(sim.NewSuite(sim.QuickOptions()))
 	for _, name := range []string{"fig2", "table3"} {
 		rep, err := s.Run(context.Background(), name)
 		if err != nil {

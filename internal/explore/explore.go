@@ -33,7 +33,6 @@ package explore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -558,26 +557,11 @@ func (r *run) evalAll(ctx context.Context, points []Point, screen bool) ([]Eval,
 		}(i, pt)
 	}
 	wg.Wait()
-
-	failed := make([]error, 0, len(errs))
-	for _, err := range errs {
-		if err != nil {
-			failed = append(failed, err)
-		}
-	}
-	if len(failed) > 0 {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			real := failed[:0]
-			for _, err := range failed {
-				if !errors.Is(err, ctxErr) {
-					real = append(real, err)
-				}
-			}
-			return nil, errors.Join(append(real,
-				fmt.Errorf("explore: interrupted with %d of %d %s evaluations done: %w",
-					done, len(points), phase, ctxErr))...)
-		}
-		return nil, errors.Join(failed...)
+	if err := sim.JoinFanOut(ctx, errs, func(done, total int) error {
+		return fmt.Errorf("explore: interrupted with %d of %d %s evaluations done: %w",
+			done, total, phase, ctx.Err())
+	}); err != nil {
+		return nil, err
 	}
 	return evals, nil
 }

@@ -1,110 +1,39 @@
 package shrecd
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/store"
-	"repro/internal/telemetry"
 )
 
-// Campaign job states (aliases of the shared job states, kept for
-// readability at the call sites and in the tests).
-const (
-	campaignRunning = jobRunning
-	campaignDone    = jobDone
-	campaignFailed  = jobFailed
-)
-
-// campaignJob is one asynchronous campaign in the shared job table.
-type campaignJob = asyncJob[campaign.Spec, campaign.Progress, *campaign.Result]
-
-// campaignStatus is the GET /campaigns/{id} (and list-entry) shape.
-type campaignStatus struct {
-	ID    string        `json:"id"`
-	State string        `json:"state"`
-	Spec  campaign.Spec `json:"spec"`
-	// Progress carries trials done/total, resume provenance, the running
-	// outcome counts, and the running Wilson-bounded coverage estimate.
-	Progress campaign.Progress `json:"progress"`
-	Error    string            `json:"error,omitempty"`
-	// Phases is the job's accumulated phase timing breakdown (queue wait,
-	// golden run, trials, and the sim stages underneath), in
-	// first-recorded order.
-	Phases []telemetry.PhaseStat `json:"phases,omitempty"`
-	// Report is the typed campaign report, present once the job is done.
-	Report    json.RawMessage `json:"report,omitempty"`
-	StartedAt time.Time       `json:"started_at"`
-	ElapsedS  float64         `json:"elapsed_s"`
+// campaignKind is the POST /campaigns job kind: asynchronous Monte Carlo
+// fault-injection campaigns, polled for trials done/total and running
+// coverage.
+func (s *Server) campaignKind() *jobKind[campaign.Spec, campaign.Progress, *campaign.Result] {
+	return &jobKind[campaign.Spec, campaign.Progress, *campaign.Result]{
+		jobTable: newJobTable[campaign.Spec, campaign.Progress, *campaign.Result]("campaign", s.cfg.MaxCampaigns),
+		srv:      s,
+		prefix:   "/campaigns",
+		maxBody:  64 << 10,
+		prepare:  s.prepareCampaign,
+		run:      s.camp.Run,
+	}
 }
 
-// campaignStatusOf snapshots the job for serving.
-func campaignStatusOf(j *campaignJob, withReport bool) campaignStatus {
-	snap := j.snapshot()
-	s := campaignStatus{
-		ID:        j.id,
-		State:     snap.State,
-		Spec:      j.spec,
-		Progress:  snap.Progress,
-		Error:     snap.Err,
-		Phases:    snap.Phases,
-		StartedAt: j.started,
-		ElapsedS:  snap.ElapsedS,
-	}
-	if withReport && snap.Result != nil {
-		if raw, err := json.Marshal(snap.Result.Report()); err == nil {
-			s.Report = raw
-		}
-	}
-	return s
-}
-
-// campaignID derives the job identity from the normalized spec, so
-// POSTing the same campaign twice — defaults spelled out or omitted —
-// joins the running (or finished) job instead of spawning a duplicate.
-func campaignID(spec campaign.Spec) string {
-	return store.Digest("shrecd.campaign.v1", spec)[:16]
-}
-
-// handleCampaignStart serves POST /campaigns: validate the spec, cap its
-// cost, and start (or join) the asynchronous job. The response is 202
-// with the job id and a polling URL; trials run detached from the request
-// context under the server's lifetime context, bounded by the suite's
-// simulation parallelism rather than the request worker pool.
-func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, 64<<10)
-	var raw campaign.Spec
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	// Normalize first: statically impossible specs (unknown machine or
-	// benchmark, bad rate or window) fail with 400 instead of burning an
-	// async job slot on a campaign that can only fail, the cost caps
-	// apply to the values as they will run (a zero Trials defaults to
-	// campaign.DefaultTrials, which must not slip past an operator cap
-	// below the default), and the job id hashes the normalized spec so
-	// spelled-out defaults and omitted ones join the same job.
+// prepareCampaign normalizes a campaign spec and caps its cost: the
+// trial count, the run lengths, and the hang budget.
+func (s *Server) prepareCampaign(raw campaign.Spec) (campaign.Spec, error) {
 	spec, err := campaign.Normalize(raw, s.cfg.DefaultOptions)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+		return spec, err
 	}
 	if spec.Trials > s.cfg.MaxTrials {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("trials %d outside [1, %d]", spec.Trials, s.cfg.MaxTrials))
-		return
+		return spec, fmt.Errorf("trials %d outside [1, %d]", spec.Trials, s.cfg.MaxTrials)
 	}
 	if cap := s.cfg.MaxInstrs; cap > 0 {
 		if spec.WarmupInstrs > uint64(cap) || spec.MeasureInstrs > uint64(cap) ||
 			spec.WarmupInstrs+spec.MeasureInstrs > uint64(cap) {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("requested instruction count exceeds the server cap of %d", cap))
-			return
+			return spec, fmt.Errorf("requested instruction count exceeds the server cap of %d", cap)
 		}
 		// The hang budget is a cost cap of the same kind: an uncapped
 		// client-supplied MaxCycles would let one trial simulate
@@ -113,98 +42,8 @@ func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 		// generous multiple of MaxInstrs bounds it without constraining
 		// legitimate watchdog headroom.
 		if maxBudget := 64 * cap; spec.MaxCycles > maxBudget {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("max_cycles %d exceeds the server cap of %d", spec.MaxCycles, maxBudget))
-			return
+			return spec, fmt.Errorf("max_cycles %d exceeds the server cap of %d", spec.MaxCycles, maxBudget)
 		}
 	}
-
-	id := campaignID(spec)
-	job, started, err := s.campaigns.startOrJoin(id, spec)
-	if err != nil {
-		s.shedRequests.Add(1)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err)
-		return
-	}
-	if started {
-		// Journal before the goroutine starts: once the 202 leaves, the
-		// accepted job survives a crash. A journal write failure degrades
-		// to the pre-journal behavior (the job runs, but is not resumed
-		// after a crash) rather than rejecting the request.
-		_ = s.journal.record("campaign", id, job.spec)
-		go s.runCampaign(job)
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id": id, "state": job.snapshot().State, "url": "/campaigns/" + id,
-	})
-}
-
-// runCampaign drives one job to completion under its own cancelable
-// child of the server's lifetime context (so the watchdog can stop just
-// this job). The journal entry is settled only when the job finished on
-// purpose: a run cut short by server shutdown stays pending, so the next
-// process re-adopts it — exactly what a kill -9 leaves behind.
-func (s *Server) runCampaign(job *campaignJob) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	job.setCancel(cancel)
-	defer cancel()
-	ctx, done := s.startJobTelemetry(ctx, "campaign", job.id, job, job.started)
-	res, err := s.camp.Run(ctx, job.spec, job.setProgress)
-	done(err)
-	if job.finish(res, err) && !s.interrupted(err) {
-		s.journal.finish("campaign", job.id, err)
-	}
-}
-
-// handleCampaignGet serves GET /campaigns/{id}: the job status with
-// progress, plus the typed report once done. ?format=text|csv renders
-// just the finished report instead (409 while still running).
-func (s *Server) handleCampaignGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, ok := s.campaigns.get(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown campaign %q", id))
-		return
-	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "":
-		writeJSON(w, http.StatusOK, campaignStatusOf(job, true))
-	case "text", "csv":
-		snap := job.snapshot()
-		if snap.Result == nil {
-			httpError(w, http.StatusConflict,
-				fmt.Errorf("campaign %q is %s; no report yet", id, snap.State))
-			return
-		}
-		rep := snap.Result.Report()
-		if format == "csv" {
-			w.Header().Set("Content-Type", "text/csv")
-			_ = rep.CSV(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = rep.Text(w)
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (have text, csv)", format))
-	}
-}
-
-// handleCampaignList serves GET /campaigns: every job, newest first,
-// without the (potentially large) reports.
-func (s *Server) handleCampaignList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.campaigns.all()
-	out := make([]campaignStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = campaignStatusOf(j, false)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(out), "campaigns": out})
-}
-
-// Close stops the server's background jobs (campaigns and explorations).
-// In-flight work halts at the next engine checkpoint; finished trials
-// and point evaluations have already been persisted (when a store is
-// attached), so a restarted server resumes them.
-func (s *Server) Close() {
-	s.baseStop()
+	return spec, nil
 }

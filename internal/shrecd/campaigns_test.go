@@ -8,7 +8,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
+	"repro/internal/explore"
 	"repro/internal/sim"
+)
+
+// The status shapes of the two job kinds, as the tests decode them.
+type (
+	campaignStatus    = jobStatus[campaign.Spec, campaign.Progress]
+	explorationStatus = jobStatus[explore.Spec, explore.Progress]
 )
 
 // campaignServer builds a server at tiny run lengths for campaign tests.
@@ -78,10 +86,10 @@ func TestCampaignEndpointLifecycle(t *testing.T) {
 		if code := getJSON(t, h, started.URL, &status); code != http.StatusOK {
 			t.Fatalf("GET %s = %d", started.URL, code)
 		}
-		if status.State == campaignDone {
+		if status.State == jobDone {
 			break
 		}
-		if status.State == campaignFailed {
+		if status.State == jobFailed {
 			t.Fatalf("campaign failed: %s", status.Error)
 		}
 		if time.Now().After(deadline) {
@@ -160,10 +168,10 @@ func TestCampaignEndpointRecovery(t *testing.T) {
 		if code := getJSON(t, h, started.URL, &status); code != http.StatusOK {
 			t.Fatalf("GET %s = %d", started.URL, code)
 		}
-		if status.State == campaignDone {
+		if status.State == jobDone {
 			break
 		}
-		if status.State == campaignFailed {
+		if status.State == jobFailed {
 			t.Fatalf("campaign failed: %s", status.Error)
 		}
 		if time.Now().After(deadline) {
@@ -258,7 +266,7 @@ func TestCampaignCaps(t *testing.T) {
 		getJSON(t, h, "/campaigns", &list)
 		done := 0
 		for _, c := range list.Campaigns {
-			if c.State == campaignDone {
+			if c.State == jobDone {
 				done++
 			}
 		}

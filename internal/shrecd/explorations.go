@@ -1,203 +1,57 @@
 package shrecd
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"time"
 
 	"repro/internal/explore"
-	"repro/internal/store"
-	"repro/internal/telemetry"
 )
 
-// explorationJob is one asynchronous design-space exploration in the
-// shared job table.
-type explorationJob = asyncJob[explore.Spec, explore.Progress, *explore.Result]
-
-// explorationStatus is the GET /explorations/{id} (and list-entry)
-// shape.
-type explorationStatus struct {
-	ID    string       `json:"id"`
-	State string       `json:"state"`
-	Spec  explore.Spec `json:"spec"`
-	// Progress carries the evaluation phase (screen/full), evaluations
-	// done/total within it, and resume provenance.
-	Progress explore.Progress `json:"progress"`
-	Error    string           `json:"error,omitempty"`
-	// Phases is the job's accumulated phase timing breakdown (queue wait,
-	// baseline run, screen/full evaluations, and the sim stages
-	// underneath), in first-recorded order.
-	Phases []telemetry.PhaseStat `json:"phases,omitempty"`
-	// Frontier summarizes the result once done: the Pareto-efficient
-	// point specs in space order.
-	Frontier []string `json:"frontier,omitempty"`
-	// Report is the typed Pareto report, present once the job is done.
-	Report    json.RawMessage `json:"report,omitempty"`
-	StartedAt time.Time       `json:"started_at"`
-	ElapsedS  float64         `json:"elapsed_s"`
-}
-
-// explorationStatusOf snapshots the job for serving.
-func explorationStatusOf(j *explorationJob, withReport bool) explorationStatus {
-	snap := j.snapshot()
-	s := explorationStatus{
-		ID:        j.id,
-		State:     snap.State,
-		Spec:      j.spec,
-		Progress:  snap.Progress,
-		Error:     snap.Err,
-		Phases:    snap.Phases,
-		StartedAt: j.started,
-		ElapsedS:  snap.ElapsedS,
-	}
-	if snap.Result != nil {
-		for _, ev := range snap.Result.FrontierEvals() {
-			s.Frontier = append(s.Frontier, ev.Spec)
-		}
-		if withReport {
-			if raw, err := json.Marshal(snap.Result.Report()); err == nil {
-				s.Report = raw
+// explorationKind is the POST /explorations job kind: asynchronous
+// design-space explorations, polled for the evaluation phase and, once
+// done, the Pareto frontier.
+func (s *Server) explorationKind() *jobKind[explore.Spec, explore.Progress, *explore.Result] {
+	return &jobKind[explore.Spec, explore.Progress, *explore.Result]{
+		jobTable: newJobTable[explore.Spec, explore.Progress, *explore.Result]("exploration", s.cfg.MaxExplorations),
+		srv:      s,
+		prefix:   "/explorations",
+		maxBody:  256 << 10,
+		prepare:  s.prepareExploration,
+		run:      s.expl.Run,
+		status: func(res *explore.Result, st *jobStatus[explore.Spec, explore.Progress]) {
+			for _, ev := range res.FrontierEvals() {
+				st.Frontier = append(st.Frontier, ev.Spec)
 			}
-		}
+		},
 	}
-	return s
 }
 
-// explorationID derives the job identity from the normalized spec, so
-// POSTing the same exploration twice — defaults spelled out or omitted —
-// joins the running (or finished) job instead of spawning a duplicate.
-func explorationID(spec explore.Spec) string {
-	return store.Digest("shrecd.exploration.v1", spec)[:16]
-}
-
-// handleExplorationStart serves POST /explorations: validate and
-// normalize the spec, cap its cost (space size, budget, trials, run
-// lengths), and start (or join) the asynchronous job. The response is
-// 202 with the job id and a polling URL; evaluations run detached from
-// the request context under the server's lifetime context, bounded by
-// the suite's simulation parallelism.
-func (s *Server) handleExplorationStart(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, 256<<10)
-	var raw explore.Spec
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	// Normalize first, for the same reasons as campaigns: impossible
-	// specs fail synchronously with 400, the caps apply to the values as
-	// they will run, and the job id hashes the normalized spec.
+// prepareExploration normalizes an exploration spec and caps its cost:
+// space size, budget, trials, and run lengths.
+func (s *Server) prepareExploration(raw explore.Spec) (explore.Spec, error) {
 	spec, err := explore.Normalize(raw, s.cfg.DefaultOptions)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+		return spec, err
 	}
 	if size := spec.Space.Size(); size > s.cfg.MaxPoints {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("space of %d points exceeds the server cap of %d", size, s.cfg.MaxPoints))
-		return
+		return spec, fmt.Errorf("space of %d points exceeds the server cap of %d", size, s.cfg.MaxPoints)
 	}
 	// Enumerate the (capped) space once: a base whose modifiers collide
 	// with an axis produces points without a canonical spec, which must
 	// fail here with 400 rather than land the async job in "failed".
 	if _, err := spec.Space.Points(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+		return spec, err
 	}
 	if spec.Budget > s.cfg.MaxPoints {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("budget %d exceeds the server cap of %d", spec.Budget, s.cfg.MaxPoints))
-		return
+		return spec, fmt.Errorf("budget %d exceeds the server cap of %d", spec.Budget, s.cfg.MaxPoints)
 	}
 	if spec.Trials > s.cfg.MaxTrials {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("trials %d outside [1, %d]", spec.Trials, s.cfg.MaxTrials))
-		return
+		return spec, fmt.Errorf("trials %d outside [1, %d]", spec.Trials, s.cfg.MaxTrials)
 	}
 	if cap := s.cfg.MaxInstrs; cap > 0 {
 		if spec.WarmupInstrs > uint64(cap) || spec.MeasureInstrs > uint64(cap) ||
 			spec.WarmupInstrs+spec.MeasureInstrs > uint64(cap) {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("requested instruction count exceeds the server cap of %d", cap))
-			return
+			return spec, fmt.Errorf("requested instruction count exceeds the server cap of %d", cap)
 		}
 	}
-
-	id := explorationID(spec)
-	job, started, err := s.explorations.startOrJoin(id, spec)
-	if err != nil {
-		s.shedRequests.Add(1)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err)
-		return
-	}
-	if started {
-		// Journal before the goroutine starts (see handleCampaignStart).
-		_ = s.journal.record("exploration", id, job.spec)
-		go s.runExploration(job)
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id": id, "state": job.snapshot().State, "url": "/explorations/" + id,
-	})
-}
-
-// runExploration drives one job to completion under its own cancelable
-// child of the server's lifetime context; journal settlement follows the
-// same interrupted-stays-pending rule as runCampaign.
-func (s *Server) runExploration(job *explorationJob) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	job.setCancel(cancel)
-	defer cancel()
-	ctx, done := s.startJobTelemetry(ctx, "exploration", job.id, job, job.started)
-	res, err := s.expl.Run(ctx, job.spec, job.setProgress)
-	done(err)
-	if job.finish(res, err) && !s.interrupted(err) {
-		s.journal.finish("exploration", job.id, err)
-	}
-}
-
-// handleExplorationGet serves GET /explorations/{id}: the job status
-// with progress, the frontier specs, and the typed report once done.
-// ?format=text|csv renders just the finished report instead (409 while
-// still running).
-func (s *Server) handleExplorationGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, ok := s.explorations.get(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown exploration %q", id))
-		return
-	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "":
-		writeJSON(w, http.StatusOK, explorationStatusOf(job, true))
-	case "text", "csv":
-		snap := job.snapshot()
-		if snap.Result == nil {
-			httpError(w, http.StatusConflict,
-				fmt.Errorf("exploration %q is %s; no report yet", id, snap.State))
-			return
-		}
-		rep := snap.Result.Report()
-		if format == "csv" {
-			w.Header().Set("Content-Type", "text/csv")
-			_ = rep.CSV(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = rep.Text(w)
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (have text, csv)", format))
-	}
-}
-
-// handleExplorationList serves GET /explorations: every job, newest
-// first, without the (potentially large) reports.
-func (s *Server) handleExplorationList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.explorations.all()
-	out := make([]explorationStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = explorationStatusOf(j, false)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(out), "explorations": out})
+	return spec, nil
 }

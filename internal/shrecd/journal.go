@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/campaign"
-	"repro/internal/explore"
 	"repro/internal/store"
 )
 
@@ -137,22 +135,17 @@ func (j *jobJournal) depth() int {
 }
 
 // replayJournal re-adopts every pending journaled job at startup:
-// decode its spec, re-reserve its slot in the job table, and restart it
-// through the normal run path (whose engines resume finished trials and
-// points from the result store). Corrupt or undecodable entries are
-// marked failed and skipped — replay must never prevent the server from
-// coming up.
+// decode its spec, re-reserve its slot in its kind's job table, and
+// restart it through the normal run path (whose engines resume finished
+// trials and points from the result store). Corrupt or undecodable
+// entries are marked failed and skipped — replay must never prevent the
+// server from coming up.
 func (s *Server) replayJournal() {
 	for _, e := range s.journal.pending() {
 		s.journalReplayed.Add(1)
-		var err error
-		switch e.Kind {
-		case "campaign":
-			err = s.readoptCampaign(e)
-		case "exploration":
-			err = s.readoptExploration(e)
-		default:
-			err = fmt.Errorf("unknown journal kind %q", e.Kind)
+		err := fmt.Errorf("unknown journal kind %q", e.Kind)
+		if k, ok := s.kinds[e.Kind]; ok {
+			err = k.readopt(e)
 		}
 		if errors.Is(err, errTableFull) {
 			s.log.Warn("journal replay deferred: job table full", "kind", e.Kind, "job_id", e.ID)
@@ -169,34 +162,18 @@ func (s *Server) replayJournal() {
 	}
 }
 
-// readoptCampaign restarts one journaled campaign.
-func (s *Server) readoptCampaign(e journalEntry) error {
-	var spec campaign.Spec
+// readopt restarts one journaled job of this kind.
+func (k *jobKind[S, P, R]) readopt(e journalEntry) error {
+	var spec S
 	if err := json.Unmarshal(e.Spec, &spec); err != nil {
-		return fmt.Errorf("decoding campaign spec: %w", err)
+		return fmt.Errorf("decoding %s spec: %w", k.kind, err)
 	}
-	job, started, err := s.campaigns.startOrJoin(e.ID, spec)
+	job, started, err := k.startOrJoin(e.ID, spec)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errTableFull, err)
 	}
 	if started {
-		go s.runCampaign(job)
-	}
-	return nil
-}
-
-// readoptExploration restarts one journaled exploration.
-func (s *Server) readoptExploration(e journalEntry) error {
-	var spec explore.Spec
-	if err := json.Unmarshal(e.Spec, &spec); err != nil {
-		return fmt.Errorf("decoding exploration spec: %w", err)
-	}
-	job, started, err := s.explorations.startOrJoin(e.ID, spec)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errTableFull, err)
-	}
-	if started {
-		go s.runExploration(job)
+		go k.runJob(job)
 	}
 	return nil
 }

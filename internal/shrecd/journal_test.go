@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -224,7 +225,7 @@ func TestReplayStartsJobsAcceptedButNeverRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cid, eid := campaignID(cspec), explorationID(espec)
+	cid, eid := jobID("campaign", cspec), jobID("exploration", espec)
 	j := newJobJournal(js)
 	if err := j.record("campaign", cid, cspec); err != nil {
 		t.Fatal(err)
@@ -321,64 +322,89 @@ func TestSheddingBoundsQueueWait(t *testing.T) {
 	}
 }
 
-// TestWatchdogFailsWedgedJob pins the watchdog: a running job whose
-// progress heartbeat goes stale is cancelled, marked failed with a
-// watchdog error, journaled as failed, and its finish is idempotent
-// against a late result racing in.
-func TestWatchdogFailsWedgedJob(t *testing.T) {
-	opt := sim.Options{WarmupInstrs: 2_000, MeasureInstrs: 5_000}
-	dir := t.TempDir()
-	_, js := openJournalStores(t, dir)
-	s := NewWith(Config{DefaultOptions: opt, Journal: js, Watchdog: 100 * time.Millisecond}, sim.NewSuite(opt))
-	t.Cleanup(s.Close)
-
-	var raw campaign.Spec
-	if err := json.Unmarshal([]byte(`{"machine":"shrec","benchmark":"crafty","trials":4,"seed":5}`), &raw); err != nil {
+// wedgeJob journals a job of kind k as accepted and reserves its slot
+// without ever driving it — a perfectly wedged job — with its heartbeat
+// an hour stale. It returns the job's status URL and a late completion
+// with result late, reporting whether that completion settled the job.
+func wedgeJob[S, P any, R reporter](t *testing.T, s *Server, k *jobKind[S, P, R], raw string, late R) (url string, finishLate func() bool) {
+	t.Helper()
+	var spec S
+	if err := json.Unmarshal([]byte(raw), &spec); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := campaign.Normalize(raw, opt)
+	spec, err := k.prepare(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := campaignID(spec)
-	if err := s.journal.record("campaign", id, spec); err != nil {
+	id := jobID(k.kind, spec)
+	if err := s.journal.record(k.kind, id, spec); err != nil {
 		t.Fatal(err)
 	}
-	// Reserve the job but never drive it: a perfectly wedged job.
-	job, startedNew, err := s.campaigns.startOrJoin(id, spec)
+	job, startedNew, err := k.startOrJoin(id, spec)
 	if err != nil || !startedNew {
 		t.Fatalf("startOrJoin: started=%v err=%v", startedNew, err)
 	}
 	job.mu.Lock()
 	job.lastBeat = time.Now().Add(-time.Hour)
 	job.mu.Unlock()
+	return k.prefix + "/" + id, func() bool { return job.finish(late, nil) }
+}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap := job.snapshot()
-		if snap.State == jobFailed {
-			if !strings.Contains(snap.Err, "watchdog") {
-				t.Fatalf("wedged job error %q lacks watchdog attribution", snap.Err)
+// TestWatchdogFailsWedgedJob pins the watchdog for both job kinds: a
+// running job whose progress heartbeat goes stale is cancelled, marked
+// failed with a watchdog error, journaled as failed, and its finish is
+// idempotent against a late result racing in.
+func TestWatchdogFailsWedgedJob(t *testing.T) {
+	opt := sim.Options{WarmupInstrs: 2_000, MeasureInstrs: 5_000}
+	for _, tc := range []struct {
+		kind  string
+		wedge func(*testing.T, *Server) (url string, finishLate func() bool)
+	}{
+		{"campaign", func(t *testing.T, s *Server) (string, func() bool) {
+			return wedgeJob(t, s, s.campaigns, `{"machine":"shrec","benchmark":"crafty","trials":4,"seed":5}`, &campaign.Result{})
+		}},
+		{"exploration", func(t *testing.T, s *Server) (string, func() bool) {
+			return wedgeJob(t, s, s.explorations, `{"space":{"bases":["ss1","ss2"]},"seed":5}`, &explore.Result{})
+		}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			_, js := openJournalStores(t, t.TempDir())
+			s := NewWith(Config{DefaultOptions: opt, Journal: js, Watchdog: 100 * time.Millisecond}, sim.NewSuite(opt))
+			t.Cleanup(s.Close)
+			h := s.Handler()
+			url, finishLate := tc.wedge(t, s)
+
+			var status struct{ State, Error string }
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				if code := getJSON(t, h, url, &status); code != http.StatusOK {
+					t.Fatalf("GET %s = %d", url, code)
+				}
+				if status.State == jobFailed {
+					if !strings.Contains(status.Error, "watchdog") {
+						t.Fatalf("wedged job error %q lacks watchdog attribution", status.Error)
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("watchdog never killed the wedged job; status %+v", status)
+				}
+				time.Sleep(5 * time.Millisecond)
 			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("watchdog never killed the wedged job; state %+v", snap)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := s.jobsWedged.Load(); got != 1 {
-		t.Fatalf("jobs_wedged = %d, want 1", got)
-	}
-	var e journalEntry
-	if ok, _ := js.Get(journalKey("campaign", id), &e); !ok || e.State != journalFailed {
-		t.Fatalf("wedged job journal state %q, want failed", e.State)
-	}
-	// A late completion racing the watchdog must not flip the outcome.
-	if job.finish(&campaign.Result{}, nil) {
-		t.Fatal("finish after watchdog kill reported it settled the job")
-	}
-	if snap := job.snapshot(); snap.State != jobFailed {
-		t.Fatalf("late finish flipped state to %q", snap.State)
+			if got := s.jobsWedged.Load(); got != 1 {
+				t.Fatalf("jobs_wedged = %d, want 1", got)
+			}
+			var e journalEntry
+			if ok, _ := js.Get(journalKey(tc.kind, path.Base(url)), &e); !ok || e.State != journalFailed {
+				t.Fatalf("wedged job journal state %q, want failed", e.State)
+			}
+			// A late completion racing the watchdog must not flip the outcome.
+			if finishLate() {
+				t.Fatal("finish after watchdog kill reported it settled the job")
+			}
+			if getJSON(t, h, url, &status); status.State != jobFailed {
+				t.Fatalf("late finish flipped state to %q", status.State)
+			}
+		})
 	}
 }

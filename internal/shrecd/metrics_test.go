@@ -43,10 +43,10 @@ func TestMetricsExpositionLint(t *testing.T) {
 		if code := getJSON(t, h, started.URL, &status); code != http.StatusOK {
 			t.Fatalf("GET %s = %d", started.URL, code)
 		}
-		if status.State == campaignDone {
+		if status.State == jobDone {
 			break
 		}
-		if status.State == campaignFailed || time.Now().After(deadline) {
+		if status.State == jobFailed || time.Now().After(deadline) {
 			t.Fatalf("campaign did not finish: %+v", status)
 		}
 		time.Sleep(10 * time.Millisecond)

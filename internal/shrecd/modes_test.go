@@ -35,10 +35,10 @@ func waitCampaign(t *testing.T, h http.Handler, url string) campaignStatus {
 		if code := getJSON(t, h, url, &status); code != http.StatusOK {
 			t.Fatalf("GET %s = %d", url, code)
 		}
-		if status.State == campaignDone {
+		if status.State == jobDone {
 			return status
 		}
-		if status.State == campaignFailed {
+		if status.State == jobFailed {
 			t.Fatalf("campaign failed: %s", status.Error)
 		}
 		if time.Now().After(deadline) {

@@ -15,8 +15,12 @@
 // A bounded worker pool caps concurrently-served simulation requests
 // independently of the suite's own run parallelism; campaigns and
 // explorations run in the background under the suite's parallelism
-// alone, each kind tracked in a bounded job table (jobs.go) with
-// normalized-spec dedup and cost caps.
+// alone. Both are served by one asynchronous-job path (jobs.go): a
+// jobKind per kind supplies its name, routes, body limit, cost caps
+// (campaigns.go, explorations.go) and engine, and one set of handlers,
+// one run function, one journal replay and one watchdog loop serve
+// both, each kind tracking its jobs in a bounded table with
+// normalized-spec dedup.
 package shrecd
 
 import (
@@ -117,12 +121,14 @@ type Server struct {
 	start time.Time
 
 	// baseCtx bounds background jobs (campaigns, explorations) to the
-	// server's lifetime (Close cancels it); the tables track them for
-	// the status endpoints.
+	// server's lifetime (Close cancels it). Each job kind serves its own
+	// endpoints and tracks its jobs in its table; kinds indexes both by
+	// name for journal replay and the watchdog.
 	baseCtx      context.Context
 	baseStop     context.CancelFunc
-	campaigns    *jobTable[campaign.Spec, campaign.Progress, *campaign.Result]
-	explorations *jobTable[explore.Spec, explore.Progress, *explore.Result]
+	campaigns    *jobKind[campaign.Spec, campaign.Progress, *campaign.Result]
+	explorations *jobKind[explore.Spec, explore.Progress, *explore.Result]
+	kinds        map[string]asyncKind
 
 	// journal is the write-ahead job journal (nil-safe no-op when
 	// Config.Journal is unset); the counters feed /metrics.
@@ -199,21 +205,21 @@ func NewWith(cfg Config, sims *sim.Suite) *Server {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:          cfg,
-		sims:         sims,
-		exp:          experiments.NewSuiteWith(sims),
-		camp:         camp,
-		expl:         expl,
-		sem:          make(chan struct{}, cfg.MaxConcurrent),
-		start:        time.Now(),
-		baseCtx:      ctx,
-		baseStop:     stop,
-		campaigns:    newJobTable[campaign.Spec, campaign.Progress, *campaign.Result]("campaign", cfg.MaxCampaigns),
-		explorations: newJobTable[explore.Spec, explore.Progress, *explore.Result]("exploration", cfg.MaxExplorations),
-		journal:      newJobJournal(cfg.Journal),
-		reg:          cfg.Registry,
-		log:          cfg.Logger,
+		cfg:      cfg,
+		sims:     sims,
+		exp:      experiments.NewSuite(sims),
+		camp:     camp,
+		expl:     expl,
+		sem:      make(chan struct{}, cfg.MaxConcurrent),
+		start:    time.Now(),
+		baseCtx:  ctx,
+		baseStop: stop,
+		journal:  newJobJournal(cfg.Journal),
+		reg:      cfg.Registry,
+		log:      cfg.Logger,
 	}
+	s.campaigns, s.explorations = s.campaignKind(), s.explorationKind()
+	s.kinds = map[string]asyncKind{s.campaigns.kind: s.campaigns, s.explorations.kind: s.explorations}
 	sims.WithTelemetry(s.reg)
 	s.registerMetrics()
 	s.httpm = telemetry.NewHTTPMetrics(s.reg, "shrecd", s.log)
@@ -338,18 +344,23 @@ func (s *Server) watchdogLoop() {
 		case <-s.baseCtx.Done():
 			return
 		case <-t.C:
-			for _, id := range s.campaigns.failWedged(s.cfg.Watchdog) {
-				s.jobsWedged.Add(1)
-				s.log.Warn("watchdog killed wedged job", "kind", "campaign", "job_id", id)
-				s.journal.finish("campaign", id, fmt.Errorf("watchdog: wedged"))
-			}
-			for _, id := range s.explorations.failWedged(s.cfg.Watchdog) {
-				s.jobsWedged.Add(1)
-				s.log.Warn("watchdog killed wedged job", "kind", "exploration", "job_id", id)
-				s.journal.finish("exploration", id, fmt.Errorf("watchdog: wedged"))
+			for name, k := range s.kinds {
+				for _, id := range k.failWedged(s.cfg.Watchdog) {
+					s.jobsWedged.Add(1)
+					s.log.Warn("watchdog killed wedged job", "kind", name, "job_id", id)
+					s.journal.finish(name, id, fmt.Errorf("watchdog: wedged"))
+				}
 			}
 		}
 	}
+}
+
+// Close stops the server's background jobs (campaigns and explorations).
+// In-flight work halts at the next engine checkpoint; finished trials
+// and point evaluations have already been persisted (when a store is
+// attached), so a restarted server resumes them.
+func (s *Server) Close() {
+	s.baseStop()
 }
 
 // Sims exposes the underlying suite (metrics, tests).
@@ -367,12 +378,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /simulate", s.handleSimulate)
 	mux.HandleFunc("GET /experiments", s.handleCatalog)
 	mux.HandleFunc("GET /experiments/{name}", s.handleExperiment)
-	mux.HandleFunc("POST /campaigns", s.handleCampaignStart)
-	mux.HandleFunc("GET /campaigns", s.handleCampaignList)
-	mux.HandleFunc("GET /campaigns/{id}", s.handleCampaignGet)
-	mux.HandleFunc("POST /explorations", s.handleExplorationStart)
-	mux.HandleFunc("GET /explorations", s.handleExplorationList)
-	mux.HandleFunc("GET /explorations/{id}", s.handleExplorationGet)
+	s.campaigns.register(mux)
+	s.explorations.register(mux)
 	mux.HandleFunc("GET /results", s.handleResults)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)

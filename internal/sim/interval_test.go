@@ -39,11 +39,11 @@ func TestIntervalParallelMatchesSequential(t *testing.T) {
 			par := opt
 			par.Parallelism = 8
 
-			a, err := Run(m, p, seq)
+			a, err := RunContext(context.Background(), m, p, seq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Run(m, p, par)
+			b, err := RunContext(context.Background(), m, p, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestIntervalParallelMatchesSequential(t *testing.T) {
 func TestIntervalRemainderDistribution(t *testing.T) {
 	p, _ := workload.ByName("gzip-graphic")
 	opt := Options{WarmupInstrs: 2000, MeasureInstrs: 10001, Intervals: 3, Parallelism: 3}
-	res, err := Run(config.SS1(), p, opt)
+	res, err := RunContext(context.Background(), config.SS1(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestIntervalRemainderDistribution(t *testing.T) {
 func TestIntervalCountTooHigh(t *testing.T) {
 	p, _ := workload.ByName("gzip-graphic")
 	opt := Options{MeasureInstrs: 3, Intervals: 5}
-	if _, err := Run(config.SS1(), p, opt); err == nil {
+	if _, err := RunContext(context.Background(), config.SS1(), p, opt); err == nil {
 		t.Fatal("expected an error for Intervals > MeasureInstrs")
 	}
 }

@@ -30,7 +30,7 @@ func TestRecoveryRunProducesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{WarmupInstrs: 4000, MeasureInstrs: 12000}
-	res, err := Run(recoveryTrial(1), p, opt)
+	res, err := RunContext(context.Background(), recoveryTrial(1), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRecoveryRunProducesTrace(t *testing.T) {
 			res.Stats.Retired, opt.MeasureInstrs)
 	}
 	// And a fault-free machine must not grow a trace.
-	plain, err := Run(config.SHREC(), p, Options{WarmupInstrs: 2000, MeasureInstrs: 6000})
+	plain, err := RunContext(context.Background(), config.SHREC(), p, Options{WarmupInstrs: 2000, MeasureInstrs: 6000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRecoveryKeySemantics(t *testing.T) {
 func TestIntervalParallelRejectsRecovery(t *testing.T) {
 	p := workload.All()[0]
 	opt := Options{WarmupInstrs: 1000, MeasureInstrs: 8000, Intervals: 4}
-	_, err := Run(recoveryTrial(1), p, opt)
+	_, err := RunContext(context.Background(), recoveryTrial(1), p, opt)
 	if err == nil {
 		t.Fatal("interval-parallel run with checkpoint recovery was accepted")
 	}

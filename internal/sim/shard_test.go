@@ -169,7 +169,7 @@ func TestBatchGetDeduplication(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := s.Batch(ctx, machines, profiles); err != nil {
+			if _, err := s.Batch(ctx, machines, profiles); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -205,7 +205,7 @@ func TestBatchAggregatesAllErrors(t *testing.T) {
 	machines := []config.Machine{badA, config.SS1(), badB}
 	profiles := workload.Integer()[:1]
 
-	err := s.Batch(context.Background(), machines, profiles)
+	_, err := s.Batch(context.Background(), machines, profiles)
 	if err == nil {
 		t.Fatal("invalid machines accepted")
 	}
@@ -228,7 +228,8 @@ func TestBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- s.Batch(ctx, []config.Machine{config.SS1(), config.SHREC()}, workload.Integer()[:4])
+		_, err := s.Batch(ctx, []config.Machine{config.SS1(), config.SHREC()}, workload.Integer()[:4])
+		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
@@ -323,7 +324,7 @@ func TestResultsSnapshot(t *testing.T) {
 	s := NewSuite(tinyOpts())
 	ctx := context.Background()
 	profiles := workload.Integer()[:2]
-	if err := s.Batch(ctx, []config.Machine{config.SS1(), config.SHREC()}, profiles); err != nil {
+	if _, err := s.Batch(ctx, []config.Machine{config.SS1(), config.SHREC()}, profiles); err != nil {
 		t.Fatal(err)
 	}
 	out := s.Results()

@@ -126,11 +126,6 @@ func (r Result) IPC() float64 { return r.Stats.IPC() }
 // CPI returns the run's cycles per instruction.
 func (r Result) CPI() float64 { return r.Stats.CPI() }
 
-// Run simulates one machine on one workload.
-func Run(m config.Machine, p trace.Profile, opt Options) (Result, error) {
-	return RunContext(context.Background(), m, p, opt)
-}
-
 // RunContext simulates one machine on one workload, checking ctx for
 // cancellation between engine step batches.
 func RunContext(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
@@ -755,33 +750,35 @@ func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Pro
 }
 
 // Batch runs every (machine, profile) pair, in parallel, reusing cached
-// and in-flight results. Unlike a first-error fan-out, it waits for every
-// worker and returns all failures joined with errors.Join, so one bad
-// configuration does not hide the others.
-func (s *Suite) Batch(ctx context.Context, machines []config.Machine, profiles []trace.Profile) error {
+// and in-flight results, and returns them in machines-major order:
+// results[i*len(profiles)+j] is machines[i] on profiles[j]. Unlike a
+// first-error fan-out, it waits for every worker and returns all
+// failures joined (see JoinFanOut), so one bad configuration does not
+// hide the others.
+func (s *Suite) Batch(ctx context.Context, machines []config.Machine, profiles []trace.Profile) ([]Result, error) {
 	type job struct {
+		i int // index into out
 		m config.Machine
 		p trace.Profile
 	}
+	out := make([]Result, 0, len(machines)*len(profiles))
 	var jobs []job
 	for _, m := range machines {
 		for _, p := range profiles {
-			// Skip pairs already cached so a warm batch spawns no
-			// goroutines and does not inflate the hit counter; races with
-			// concurrent fills are still covered by GetOpt's singleflight.
+			// Read pairs already cached without counting a hit, so a warm
+			// batch spawns no goroutines and does not inflate the hit
+			// counter; races with concurrent fills are still covered by
+			// GetOpt's singleflight.
 			k := key(m, p, s.opt)
 			sh := s.shardFor(k)
 			sh.mu.Lock()
-			_, ok := sh.results[k]
+			res, ok := sh.results[k]
 			sh.mu.Unlock()
-			if ok {
-				continue
+			if !ok {
+				jobs = append(jobs, job{len(out), m, p})
 			}
-			jobs = append(jobs, job{m, p})
+			out = append(out, res)
 		}
-	}
-	if len(jobs) == 0 {
-		return nil
 	}
 
 	var wg sync.WaitGroup
@@ -790,12 +787,32 @@ func (s *Suite) Batch(ctx context.Context, machines []config.Machine, profiles [
 		wg.Add(1)
 		go func(i int, j job) {
 			defer wg.Done()
-			if _, err := s.GetOpt(ctx, j.m, j.p, s.opt); err != nil {
+			res, err := s.GetOpt(ctx, j.m, j.p, s.opt)
+			if err != nil {
 				errs[i] = fmt.Errorf("%s on %s: %w", j.m.Name, j.p.Name, err)
+				return
 			}
+			out[j.i] = res
 		}(i, j)
 	}
 	wg.Wait()
+	if err := JoinFanOut(ctx, errs, func(done, total int) error {
+		return fmt.Errorf("sim: batch interrupted: %w", ctx.Err())
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// JoinFanOut reports the outcome of a fan-out whose workers recorded
+// their failures in errs (nil for a worker that succeeded). It joins the
+// non-nil errors in order; when every worker succeeded it returns nil,
+// even if ctx expired in the final window, since the results are fully
+// computed. After a cancellation, the errors that are only ctx.Err()
+// cascading into outstanding workers collapse into one error built by
+// interrupted from the count of workers that succeeded and the total,
+// and only the genuine failures are kept beside it.
+func JoinFanOut(ctx context.Context, errs []error, interrupted func(done, total int) error) error {
 	failed := make([]error, 0, len(errs))
 	for _, err := range errs {
 		if err != nil {
@@ -803,35 +820,19 @@ func (s *Suite) Batch(ctx context.Context, machines []config.Machine, profiles [
 		}
 	}
 	if len(failed) == 0 {
-		// Every job completed; a context that expired in the final window
-		// is irrelevant to the (fully computed) results.
 		return nil
 	}
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		// Cancellation cascades into every outstanding job; collapse that
-		// noise into one error and keep only genuine failures.
-		real := failed[:0]
-		for _, err := range failed {
-			if !errors.Is(err, ctxErr) {
-				real = append(real, err)
-			}
-		}
-		return errors.Join(append(real, fmt.Errorf("sim: batch interrupted: %w", ctxErr))...)
+	ctxErr := ctx.Err()
+	if ctxErr == nil {
+		return errors.Join(failed...)
 	}
-	return errors.Join(failed...)
-}
-
-// Lookup returns the cached result for (m, p) at the suite's options
-// without running anything and without counting a cache hit — for
-// callers collecting results they just computed via Batch, where a hit
-// increment would misstate cache effectiveness.
-func (s *Suite) Lookup(m config.Machine, p trace.Profile) (Result, bool) {
-	k := key(m, p, s.opt)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	res, ok := sh.results[k]
-	sh.mu.Unlock()
-	return res, ok
+	real := make([]error, 0, len(failed))
+	for _, err := range failed {
+		if !errors.Is(err, ctxErr) {
+			real = append(real, err)
+		}
+	}
+	return errors.Join(append(real, interrupted(len(errs)-len(failed), len(errs)))...)
 }
 
 // Len reports how many results are cached, summing shard sizes without

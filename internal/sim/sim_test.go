@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -18,7 +20,7 @@ func TestRunProducesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(config.SS1(), p, tinyOpts())
+	res, err := RunContext(context.Background(), config.SS1(), p, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +37,11 @@ func TestRunProducesResult(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	p, _ := workload.ByName("parser")
-	a, err := Run(config.SHREC(), p, tinyOpts())
+	a, err := RunContext(context.Background(), config.SHREC(), p, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(config.SHREC(), p, tinyOpts())
+	b, err := RunContext(context.Background(), config.SHREC(), p, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,21 +54,34 @@ func TestSuiteBatchAndCache(t *testing.T) {
 	s := NewSuite(tinyOpts())
 	machines := []config.Machine{config.SS1(), config.SS2(config.Factors{})}
 	profiles := workload.Integer()[:3]
-	if err := s.Batch(context.Background(), machines, profiles); err != nil {
-		t.Fatal(err)
-	}
-	// Cached access must return identical values.
-	r1, err := s.Get(context.Background(), machines[0], profiles[0])
+	cold, err := s.Batch(context.Background(), machines, profiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := s.Get(context.Background(), machines[0], profiles[0])
-	if r1.Stats != r2.Stats {
+	// Cached access must return identical values, and Batch returns them
+	// machines-major: cold[i*len(profiles)+j] is machines[i] on profiles[j].
+	r1, err := s.Get(context.Background(), machines[1], profiles[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, _ := s.Get(context.Background(), machines[1], profiles[2])
+	if r1.Stats != r2.Stats || cold[1*len(profiles)+2].Stats != r1.Stats {
 		t.Fatal("cache returned different results")
 	}
-	// Batch again is a no-op (all cached) and must not error.
-	if err := s.Batch(context.Background(), machines, profiles); err != nil {
+	// Batch again runs nothing (all cached), counts no hits, and returns
+	// the same results.
+	before := s.Counters()
+	warm, err := s.Batch(context.Background(), machines, profiles)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := s.Counters(); got != before {
+		t.Fatalf("warm batch moved the counters: %+v -> %+v", before, got)
+	}
+	for i := range cold {
+		if warm[i].Stats != cold[i].Stats {
+			t.Fatalf("warm batch result %d differs from the cold one", i)
+		}
 	}
 }
 
@@ -111,8 +126,47 @@ func TestErrorsPropagate(t *testing.T) {
 	bad := config.SS1()
 	bad.Name = "bad"
 	bad.IssueWidth = 0
-	if _, err := Run(bad, p, tinyOpts()); err == nil {
+	if _, err := RunContext(context.Background(), bad, p, tinyOpts()); err == nil {
 		t.Fatal("invalid machine not rejected")
+	}
+}
+
+// TestJoinFanOut pins how a fan-out reports its workers' failures: all
+// of them joined in order, except that after a cancellation the errors
+// that only cascade ctx.Err() collapse into one interruption error.
+func TestJoinFanOut(t *testing.T) {
+	live := context.Background()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	boom := errors.New("boom")
+	cascade := fmt.Errorf("worker: %w", context.Canceled)
+	interrupted := func(done, total int) error {
+		return fmt.Errorf("interrupted with %d of %d done: %w", done, total, context.Canceled)
+	}
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		errs []error
+		want string // "" means nil
+	}{
+		{"all nil", cancelled, []error{nil, nil, nil}, ""},
+		{"genuine failure", live, []error{nil, boom, nil}, "boom"},
+		{"pure cascade", cancelled, []error{nil, cascade, cascade}, "interrupted with 1 of 3 done: context canceled"},
+		{"failure and cascade", cancelled, []error{boom, nil, cascade, nil},
+			"boom\ninterrupted with 2 of 4 done: context canceled"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := JoinFanOut(tc.ctx, tc.errs, interrupted)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("err = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -47,8 +47,8 @@ func WithRetryPolicy(maxAttempts int, baseDelay, maxDelay time.Duration) RemoteO
 	}
 }
 
-// WithPollInterval sets how often WaitCampaign/WaitExploration poll the
-// job status (default 250ms).
+// WithPollInterval sets how often Wait polls the job status (default
+// 250ms).
 func WithPollInterval(d time.Duration) RemoteOption {
 	return func(r *Remote) { r.poll = d }
 }
@@ -220,7 +220,9 @@ func (r *Remote) Health(ctx context.Context) (json.RawMessage, error) {
 	return out, err
 }
 
-// RemoteJob identifies an asynchronous job on the server.
+// RemoteJob identifies an asynchronous job on the server: its id and
+// the status URL (a path on the server) that Status and Wait poll, both
+// as the server returned them when it accepted the job.
 type RemoteJob struct {
 	ID  string `json:"id"`
 	URL string `json:"url"`
@@ -255,21 +257,6 @@ func (r *Remote) StartCampaign(ctx context.Context, spec CampaignSpec) (RemoteJo
 	return out, err
 }
 
-// CampaignStatus polls one campaign.
-func (r *Remote) CampaignStatus(ctx context.Context, id string) (RemoteJobStatus, error) {
-	var out RemoteJobStatus
-	err := r.do(ctx, http.MethodGet, "/campaigns/"+url.PathEscape(id), nil, &out)
-	return out, err
-}
-
-// WaitCampaign polls until the campaign finishes (or ctx ends). A
-// "failed" terminal state is returned as an error alongside the status.
-func (r *Remote) WaitCampaign(ctx context.Context, id string) (RemoteJobStatus, error) {
-	return r.wait(ctx, func(ctx context.Context) (RemoteJobStatus, error) {
-		return r.CampaignStatus(ctx, id)
-	})
-}
-
 // StartExploration submits a design-space exploration.
 func (r *Remote) StartExploration(ctx context.Context, spec ExploreSpec) (RemoteJob, error) {
 	var out RemoteJob
@@ -277,27 +264,40 @@ func (r *Remote) StartExploration(ctx context.Context, spec ExploreSpec) (Remote
 	return out, err
 }
 
-// ExplorationStatus polls one exploration.
-func (r *Remote) ExplorationStatus(ctx context.Context, id string) (RemoteJobStatus, error) {
+// jobPath validates the status URL of a job handle: the url field
+// comes from the server's response, so anything but a bare absolute
+// path (no scheme, host, query or fragment) is refused rather than
+// followed.
+func jobPath(job RemoteJob) (string, error) {
+	u, err := url.Parse(job.URL)
+	if err != nil || u.Scheme != "" || u.Host != "" || u.RawQuery != "" || u.Fragment != "" ||
+		!strings.HasPrefix(u.Path, "/") {
+		return "", fmt.Errorf("repro: job %s: status url %q is not an absolute path", job.ID, job.URL)
+	}
+	return u.Path, nil
+}
+
+// Status polls one campaign or exploration at the status URL the server
+// returned when it accepted the job.
+func (r *Remote) Status(ctx context.Context, job RemoteJob) (RemoteJobStatus, error) {
+	path, err := jobPath(job)
+	if err != nil {
+		return RemoteJobStatus{}, err
+	}
 	var out RemoteJobStatus
-	err := r.do(ctx, http.MethodGet, "/explorations/"+url.PathEscape(id), nil, &out)
+	err = r.do(ctx, http.MethodGet, path, nil, &out)
 	return out, err
 }
 
-// WaitExploration polls until the exploration finishes (or ctx ends).
-func (r *Remote) WaitExploration(ctx context.Context, id string) (RemoteJobStatus, error) {
-	return r.wait(ctx, func(ctx context.Context) (RemoteJobStatus, error) {
-		return r.ExplorationStatus(ctx, id)
-	})
-}
-
-// wait polls status until terminal. Transient poll failures are already
-// retried inside do; a permanently failing poll aborts the wait.
-func (r *Remote) wait(ctx context.Context, status func(context.Context) (RemoteJobStatus, error)) (RemoteJobStatus, error) {
+// Wait polls the job's status until it finishes (or ctx ends). A
+// "failed" terminal state is returned as an error alongside the status.
+// Transient poll failures are already retried inside each poll; a
+// permanently failing poll aborts the wait.
+func (r *Remote) Wait(ctx context.Context, job RemoteJob) (RemoteJobStatus, error) {
 	t := time.NewTicker(r.poll)
 	defer t.Stop()
 	for {
-		st, err := status(ctx)
+		st, err := r.Status(ctx, job)
 		if err != nil {
 			return st, err
 		}

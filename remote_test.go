@@ -42,23 +42,62 @@ func TestRemoteSimulateAndCampaign(t *testing.T) {
 		t.Fatalf("bad remote simulation: %+v", res)
 	}
 
+	// Both job kinds go through the one Status/Wait path, polling the
+	// status URL each 202 returned.
 	var spec CampaignSpec
 	if err := json.Unmarshal([]byte(`{"machine":"shrec","benchmark":"crafty","trials":8,"fault_rate":2e-4,"seed":7}`), &spec); err != nil {
 		t.Fatal(err)
 	}
-	job, err := r.StartCampaign(ctx, spec)
+	camp, err := r.StartCampaign(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.ID == "" || !strings.HasPrefix(job.URL, "/campaigns/") {
-		t.Fatalf("bad job handle: %+v", job)
+	var espec ExploreSpec
+	if err := json.Unmarshal([]byte(`{"space":{"bases":["ss1","ss2"]},"seed":7}`), &espec); err != nil {
+		t.Fatal(err)
 	}
-	st, err := r.WaitCampaign(ctx, job.ID)
+	expl, err := r.StartExploration(ctx, espec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != "done" || !strings.Contains(string(st.Report), "Wilson") {
-		t.Fatalf("campaign status %q, report %q", st.State, st.Report)
+	for _, tc := range []struct {
+		job    RemoteJob
+		prefix string
+		report string // a phrase only the kind's finished report carries
+	}{
+		{camp, "/campaigns/", "Wilson"},
+		{expl, "/explorations/", "Pareto frontier"},
+	} {
+		if tc.job.ID == "" || tc.job.URL != tc.prefix+tc.job.ID {
+			t.Fatalf("bad job handle: %+v", tc.job)
+		}
+		st, err := r.Status(ctx, tc.job)
+		if err != nil || st.ID != tc.job.ID {
+			t.Fatalf("Status(%+v) = %+v, %v", tc.job, st, err)
+		}
+		if st, err = r.Wait(ctx, tc.job); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != "done" || !strings.Contains(string(st.Report), tc.report) {
+			t.Fatalf("%s status %q, report %q", tc.job.URL, st.State, st.Report)
+		}
+	}
+
+	// The status URL is the server's input: anything but a path on the
+	// server is refused before a request goes out.
+	attempts := r.Metrics().Attempts
+	for _, url := range []string{"", "campaigns/" + camp.ID, "http://127.0.0.1:1/campaigns/" + camp.ID,
+		"//127.0.0.1:1/campaigns/" + camp.ID, "/campaigns/" + camp.ID + "?format=text"} {
+		bad := RemoteJob{ID: camp.ID, URL: url}
+		if _, err := r.Status(ctx, bad); err == nil {
+			t.Fatalf("Status accepted status url %q", url)
+		}
+		if _, err := r.Wait(ctx, bad); err == nil {
+			t.Fatalf("Wait accepted status url %q", url)
+		}
+	}
+	if got := r.Metrics().Attempts; got != attempts {
+		t.Fatalf("rejected status urls issued %d requests", got-attempts)
 	}
 
 	health, err := r.Health(ctx)
