@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full race bench bench-cycle bench-baseline bench-gate fmt vet perfbench-vet examples crash-test obs-smoke docs docs-check ci
+.PHONY: build test test-full race bench bench-cycle bench-http bench-baseline bench-gate fmt vet perfbench-vet examples crash-test obs-smoke docs docs-check ci
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,13 @@ CYCLE_ITERS ?= 200000x
 # Per-cycle micro-benchmark at a fixed iteration count (stable ns/op).
 bench-cycle:
 	$(GO) test -bench='^BenchmarkCycle$$' -benchtime=$(CYCLE_ITERS) -run='^$$' .
+
+# HTTP layer of the serve path (handler, JSON, suite cache hit) at a
+# fixed iteration count, as test2json lines. One served POST /simulate
+# cache hit is tens of microseconds, so 20000 iterations run in about a
+# second. Record-only: no baseline entry or gate.
+bench-http:
+	$(GO) test -json -bench='^BenchmarkSimulateHit$$' -benchtime=20000x -run='^$$' ./internal/shrecd/
 
 # Regenerate the committed benchmark baseline: the Cycle micro-benchmark
 # at fixed iterations plus the 1x smoke pass over every benchmark

@@ -31,6 +31,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -684,12 +685,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WritePrometheus(w)
 }
 
+// writeJSON is the one encoder behind every shrecd JSON response: v is
+// marshaled once, compactly, and written as one line with an explicit
+// Content-Length. Encoding completes before the header goes out, so a
+// value that cannot be encoded becomes a 500 rather than a truncated
+// 200. Pretty-print on the client (`| jq .`) when reading by eye.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": fmt.Sprintf("encoding response: %v", err)})
+	}
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 // errStatus classifies a simulation error: cancellation/deadline errors
@@ -703,8 +715,7 @@ func errStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
+// httpError writes {"error": err} through writeJSON.
 func httpError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

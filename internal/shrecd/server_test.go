@@ -1,18 +1,24 @@
 package shrecd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // testServer returns a server with tiny run lengths so handler tests
@@ -24,7 +30,7 @@ func testServer() *Server {
 	})
 }
 
-func postJSON(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
+func postJSON(t testing.TB, h http.Handler, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -34,16 +40,19 @@ func postJSON(t *testing.T, h http.Handler, path, body string) *httptest.Respons
 }
 
 func TestSimulateEndpoint(t *testing.T) {
-	h := testServer().Handler()
+	srv := testServer()
+	h := srv.Handler()
 	w := postJSON(t, h, "/simulate", `{"machine":"shrec","benchmark":"swim"}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
+	checkCompactJSON(t, w)
 	var resp struct {
-		Machine   string  `json:"machine"`
-		Benchmark string  `json:"benchmark"`
-		IPC       float64 `json:"ipc"`
-		CPI       float64 `json:"cpi"`
+		Machine   string     `json:"machine"`
+		Benchmark string     `json:"benchmark"`
+		IPC       float64    `json:"ipc"`
+		CPI       float64    `json:"cpi"`
+		Stats     core.Stats `json:"stats"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
@@ -53,6 +62,71 @@ func TestSimulateEndpoint(t *testing.T) {
 	}
 	if resp.IPC <= 0 || resp.CPI <= 0 {
 		t.Fatalf("IPC=%v CPI=%v", resp.IPC, resp.CPI)
+	}
+	m, err := config.ByName("shrec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := workload.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := srv.Sims().GetOpt(context.Background(), m, p, srv.cfg.DefaultOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stats != want.Stats {
+		t.Fatalf("response stats %+v differ from the suite's %+v", resp.Stats, want.Stats)
+	}
+
+	// Errors go through the same encoder.
+	bad := postJSON(t, h, "/simulate", `{"machine":"shrec","benchmark":"nope"}`)
+	if bad.Code != http.StatusBadRequest {
+		t.Fatalf("unknown benchmark: status = %d: %s", bad.Code, bad.Body)
+	}
+	checkCompactJSON(t, bad)
+	var e map[string]string
+	if err := json.Unmarshal(bad.Body.Bytes(), &e); err != nil || len(e) != 1 || !strings.Contains(e["error"], `"nope"`) {
+		t.Fatalf("error body = %q (%v), want one \"error\" key naming the benchmark", bad.Body, err)
+	}
+}
+
+// checkCompactJSON asserts a shrecd JSON response's format: one compact
+// JSON line ending in a newline, typed application/json, with a
+// Content-Length equal to the body length.
+func checkCompactJSON(t *testing.T, w *httptest.ResponseRecorder) {
+	t.Helper()
+	body := w.Body.Bytes()
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q, want application/json", ct)
+	}
+	if cl := w.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+		t.Errorf("Content-Length = %q, body is %d bytes", cl, len(body))
+	}
+	line, ok := bytes.CutSuffix(body, []byte("\n"))
+	if !ok || bytes.ContainsAny(line, "\n") {
+		t.Fatalf("body is not one line ending in a newline: %q", body)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, line); err != nil {
+		t.Fatalf("body is not JSON: %v: %q", err, body)
+	}
+	if !bytes.Equal(compact.Bytes(), line) {
+		t.Fatalf("body is not compact JSON: %q", body)
+	}
+}
+
+// A value that cannot be encoded is a 500 with an error body, never a
+// truncated 200.
+func TestWriteJSONEncodeError(t *testing.T) {
+	w := httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, map[string]float64{"ipc": math.NaN()})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", w.Code)
+	}
+	checkCompactJSON(t, w)
+	if !strings.Contains(w.Body.String(), "encoding response") {
+		t.Fatalf("body = %q", w.Body)
 	}
 }
 

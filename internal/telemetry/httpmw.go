@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -80,7 +79,7 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter 
 // explode label cardinality with every distinct job id scraped.
 func (m *HTTPMetrics) Wrap(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("req-%06d", m.nextID.Add(1))
+		id := requestID(m.nextID.Add(1))
 		r = r.WithContext(WithRequestID(r.Context(), id))
 		w.Header().Set("X-Request-Id", id)
 
@@ -105,14 +104,26 @@ func (m *HTTPMetrics) Wrap(mux *http.ServeMux) http.Handler {
 		if rec.code >= 500 {
 			lv = slog.LevelWarn
 		}
-		m.log.Log(r.Context(), lv, "http request",
-			"request_id", id,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"route", route,
-			"status", rec.code,
-			"elapsed_ms", float64(elapsed.Microseconds())/1000)
+		// Build the record's attributes only when a handler will take it:
+		// at the default info level a non-5xx request logs nothing.
+		if ctx := r.Context(); m.log.Enabled(ctx, lv) {
+			m.log.Log(ctx, lv, "http request",
+				"request_id", id,
+				"method", r.Method,
+				"path", r.URL.Path,
+				"route", route,
+				"status", rec.code,
+				"elapsed_ms", float64(elapsed.Microseconds())/1000)
+		}
 	})
+}
+
+// requestID formats the n-th request's ID as "req-%06d" would, without
+// going through fmt.
+func requestID(n uint64) string {
+	var b [20]byte
+	digits := strconv.AppendUint(b[:0], n, 10)
+	return "req-" + "000000"[:max(6-len(digits), 0)] + string(digits)
 }
 
 // statusClass buckets a status code ("2xx", "4xx", ...).

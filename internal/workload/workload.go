@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/isa"
@@ -480,17 +481,31 @@ func FloatingPoint() []trace.Profile {
 	}
 }
 
-// All returns every profile: integer benchmarks first, then floating point,
-// each in ascending SS1-IPC order.
-func All() []trace.Profile {
-	return append(Integer(), FloatingPoint()...)
+// table holds every profile in presentation order, built once. It is
+// never handed out: callers get copies whose Phases they own.
+var table = append(Integer(), FloatingPoint()...)
+
+// clone copies p with its own Phases slice (Phase holds no references).
+func clone(p trace.Profile) trace.Profile {
+	p.Phases = slices.Clone(p.Phases)
+	return p
 }
 
-// ByName returns the profile with the given name.
+// All returns fresh copies of every profile: integer benchmarks first,
+// then floating point, each in ascending SS1-IPC order.
+func All() []trace.Profile {
+	all := make([]trace.Profile, len(table))
+	for i, p := range table {
+		all[i] = clone(p)
+	}
+	return all
+}
+
+// ByName returns a copy of the profile with the given name.
 func ByName(name string) (trace.Profile, error) {
-	for _, p := range All() {
+	for _, p := range table {
 		if p.Name == name {
-			return p, nil
+			return clone(p), nil
 		}
 	}
 	return trace.Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
@@ -498,9 +513,8 @@ func ByName(name string) (trace.Profile, error) {
 
 // Names returns all benchmark names in presentation order.
 func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, p := range all {
+	names := make([]string, len(table))
+	for i, p := range table {
 		names[i] = p.Name
 	}
 	return names

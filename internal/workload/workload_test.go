@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -154,5 +155,57 @@ func TestCharacteristicStructure(t *testing.T) {
 	parser, _ := ByName("parser")
 	if vortex.Phases[0].DepMean <= parser.Phases[0].DepMean {
 		t.Error("high-IPC vortex should have more ILP than parser")
+	}
+}
+
+// ByName serves every name from the one table, and no copy handed out
+// aliases it.
+func TestByNameTable(t *testing.T) {
+	all := All()
+	names := Names()
+	if len(names) != len(all) {
+		t.Fatalf("%d names for %d profiles", len(names), len(all))
+	}
+	for i, name := range names {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if !reflect.DeepEqual(p, all[i]) {
+			t.Errorf("ByName(%q) differs from All()[%d]", name, i)
+		}
+	}
+	if _, err := ByName("nope"); err == nil {
+		t.Error("ByName of an unknown name succeeded")
+	}
+
+	// The reference is a fresh build, so it cannot share memory with the
+	// table the copies are made from.
+	var want trace.Profile
+	for _, p := range FloatingPoint() {
+		if p.Name == "swim" {
+			want = p
+		}
+	}
+	got, _ := ByName("swim")
+	got.Phases[0].DepMean = -1
+	got.Phases = append(got.Phases, trace.Phase{})
+	for i := range all {
+		if all[i].Name == "swim" {
+			all[i].Phases[0].HotBytes = 0
+			all[i].Name = "changed"
+		}
+	}
+	if again, _ := ByName("swim"); !reflect.DeepEqual(again, want) {
+		t.Error("changing a returned profile or All's slice changed the next ByName result")
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ByName("swim"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("ByName hit: %v allocs, want at most 1 (the Phases copy)", allocs)
 	}
 }
