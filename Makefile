@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full race bench bench-cycle bench-http bench-baseline bench-gate fmt vet perfbench-vet examples crash-test obs-smoke docs docs-check ci
+.PHONY: build test test-full race bench bench-cycle bench-http bench-baseline bench-gate fmt vet perfbench-vet examples cli-smoke crash-test obs-smoke docs docs-check ci
 
 build:
 	$(GO) build ./...
@@ -93,6 +93,33 @@ examples:
 	rm -rf pareto-explore.db
 	$(GO) run ./examples/availability-frontier
 
+# CLI smoke: run each batch command (experiments, explore, faultstudy)
+# twice at tiny run lengths on one -store directory. The second run must
+# simulate nothing: its counter line on stderr reads "(runs=0 ...".
+# explore must reject a bad -format with exit 2 before it opens its store
+# or simulates anything.
+CLI_SMOKE_LENGTHS = -warmup 2000 -n 5000
+
+cli-smoke:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/" ./cmd/experiments ./cmd/explore ./cmd/faultstudy; \
+	for cmd in "experiments -quick -run fig2 $(CLI_SMOKE_LENGTHS)" \
+	           "explore -bases ss1,shrec $(CLI_SMOKE_LENGTHS)" \
+	           "faultstudy -machines ss1,shrec -rates 1e-4 -trials 8 $(CLI_SMOKE_LENGTHS)"; do \
+		name=$${cmd%% *}; \
+		for pass in 1 2; do \
+			"$$d"/$$cmd -store "$$d/$$name.db" >/dev/null 2>"$$d/$$name.err"; \
+		done; \
+		line=$$(grep '^(runs=' "$$d/$$name.err" || true); \
+		echo "cli-smoke: $$name rerun $$line"; \
+		case "$$line" in "(runs=0 "*) ;; *) echo "cli-smoke: $$name rerun simulated"; exit 1;; esac; \
+	done; \
+	code=0; "$$d/explore" -format yaml -store "$$d/yaml.db" >/dev/null 2>&1 || code=$$?; \
+	if [ $$code -ne 2 ] || [ -e "$$d/yaml.db" ]; then \
+		echo "cli-smoke: explore -format yaml exited $$code (want 2, store untouched)"; exit 1; \
+	fi; \
+	echo "cli-smoke: explore -format yaml exited 2 before simulating"
+
 # Crash-recovery acceptance: SIGKILL a real shrecd mid-campaign and
 # assert the restarted server re-adopts the journaled job and finishes
 # it with the same results; then the store corruption/chaos suites, the
@@ -114,4 +141,4 @@ obs-smoke:
 	$(GO) test -count=1 -run 'TestMetrics' ./internal/shrecd/
 	$(GO) test -count=1 -run 'TestLint|TestRenderPassesLint' ./internal/telemetry/
 
-ci: build vet perfbench-vet fmt test examples docs-check
+ci: build vet perfbench-vet fmt test examples cli-smoke docs-check

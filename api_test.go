@@ -200,10 +200,10 @@ func TestFacadeWorkloads(t *testing.T) {
 func TestFacadeEngine(t *testing.T) {
 	p, _ := WorkloadByName("parser")
 	e := NewEngine(SS1(), p)
-	if err := e.Warmup(5000); err != nil {
+	if err := e.WarmupContext(context.Background(), 5000); err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.Run(5000)
+	st, err := e.RunBudget(context.Background(), 5000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestFacadeTraceCapture(t *testing.T) {
 		t.Fatalf("captured %d", rec.Len())
 	}
 	e := NewEngineFromTrace(SHREC(), rec)
-	st, err := e.Run(2000)
+	st, err := e.RunBudget(context.Background(), 2000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func runMachines(b *testing.B, machines ...config.Machine) {
 	var cycles int64
 	var retired uint64
 	for _, e := range engines {
-		st, err := e.Run(uint64(b.N))
+		st, err := e.RunBudget(context.Background(), uint64(b.N), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func BenchmarkCycle(b *testing.B) {
 		b.ReportAllocs()
 		e := core.New(m, trace.New(p), opts...)
 		b.ResetTimer()
-		st, err := e.Run(uint64(b.N))
+		st, err := e.RunBudget(context.Background(), uint64(b.N), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

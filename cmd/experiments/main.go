@@ -33,17 +33,21 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/experiments"
+	"repro"
 	"repro/internal/report"
-	"repro/internal/sim"
-	"repro/internal/store"
 )
+
+// fatal reports err and exits with code.
+func fatal(code int, err error) {
+	fmt.Fprintln(os.Stderr, "experiments:", err)
+	os.Exit(code)
+}
 
 func main() {
 	var (
 		runList = flag.String("run", "all",
 			fmt.Sprintf("comma-separated experiments to run (%s) or 'all'",
-				strings.Join(experiments.Names(), ",")))
+				strings.Join(repro.ExperimentNames(), ",")))
 		format    = flag.String("format", "text", "output format: text, json, or csv")
 		outPath   = flag.String("o", "", "write output to this file instead of stdout")
 		n         = flag.Uint64("n", 0, "measured instructions per run (default 1,000,000)")
@@ -57,25 +61,22 @@ func main() {
 
 	if *docs {
 		md := catalogMarkdown()
-		if *outPath != "" {
-			if err := writeFileAtomic(*outPath, []byte(md)); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			return
+		if *outPath == "" {
+			fmt.Print(md)
+		} else if err := writeFileAtomic(*outPath, []byte(md)); err != nil {
+			fatal(1, err)
 		}
-		fmt.Print(md)
 		return
 	}
 
-	if *format != "text" && *format != "json" && *format != "csv" {
-		fmt.Fprintf(os.Stderr, "experiments: unknown format %q (have text, json, csv)\n", *format)
-		os.Exit(2)
+	outFormat, err := report.ParseFormat(*format)
+	if err != nil {
+		fatal(2, err)
 	}
 
-	opt := sim.DefaultOptions()
+	opt := repro.DefaultOptions()
 	if *quick {
-		opt = sim.QuickOptions()
+		opt = repro.QuickOptions()
 	}
 	if *n > 0 {
 		opt.MeasureInstrs = *n
@@ -83,9 +84,8 @@ func main() {
 	if *warmup > 0 {
 		opt.WarmupInstrs = *warmup
 	}
-	opt.Parallelism = *par
 
-	names := experiments.Names()
+	names := repro.ExperimentNames()
 	if *runList != "all" {
 		names = strings.Split(*runList, ",")
 	}
@@ -93,16 +93,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	sims := sim.NewSuite(opt)
-	if *storePath != "" {
-		st, err := store.Open(*storePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		sims.WithStore(st)
+	c, err := repro.NewClient(repro.WithOptions(opt), repro.WithParallelism(*par), repro.WithStore(*storePath))
+	if err != nil {
+		fatal(1, err)
 	}
+	defer c.Close()
 
 	// With -o, render into memory and replace the file atomically at the
 	// end: a failed or interrupted run must not truncate an existing
@@ -114,46 +109,40 @@ func main() {
 		out = buf
 	}
 
-	suite := experiments.NewSuite(sims)
-	var reports []*report.Report
+	var reports []*repro.Report
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		start := time.Now()
-		rep, err := suite.Run(ctx, name)
+		rep, err := c.Experiment(ctx, name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			os.Exit(1)
+			fatal(1, fmt.Errorf("%s: %w", name, err))
 		}
-		if *format == "text" {
+		if outFormat == report.FormatText {
 			// Stream each report as it completes, with the historical
 			// framing; structured formats are emitted in one piece below.
 			if _, err := fmt.Fprintf(out, "=== %s (%.1fs) ===\n%s\n", name, time.Since(start).Seconds(), rep); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
+				fatal(1, err)
 			}
 			continue
 		}
 		reports = append(reports, rep)
 	}
-	var err error
-	switch *format {
-	case "json":
+	switch outFormat {
+	case report.FormatJSON:
 		err = report.WriteJSONArray(out, reports...)
-	case "csv":
+	case report.FormatCSV:
 		err = report.WriteCSV(out, reports...)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	if buf != nil {
 		if err := writeFileAtomic(*outPath, buf.Bytes()); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 	}
 	if *storePath != "" {
-		fmt.Fprintf(os.Stderr, "(%s; store %s)\n", sims.Counters().Summary(), *storePath)
+		fmt.Fprintf(os.Stderr, "(%s; store %s)\n", c.Metrics().Summary(), *storePath)
 	}
 }
 
@@ -174,11 +163,11 @@ func catalogMarkdown() string {
 	b.WriteString("`GET /experiments/{name}`. All three dispatch through the same\n")
 	b.WriteString("registry this catalog is generated from.\n\n")
 	b.WriteString("| Name | Title |\n| --- | --- |\n")
-	for _, e := range experiments.Catalog() {
+	for _, e := range repro.ExperimentCatalog() {
 		fmt.Fprintf(&b, "| [`%s`](#%s) | %s |\n", e.Name, e.Name, e.Title)
 	}
 	b.WriteString("\n")
-	for _, e := range experiments.Catalog() {
+	for _, e := range repro.ExperimentCatalog() {
 		fmt.Fprintf(&b, "## %s\n\n", e.Name)
 		fmt.Fprintf(&b, "**%s**\n\n", e.Title)
 		fmt.Fprintf(&b, "%s\n\n", e.Doc)

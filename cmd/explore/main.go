@@ -33,27 +33,17 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
+	"repro"
 	"repro/internal/explore"
 	"repro/internal/report"
-	"repro/internal/retry"
-	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
-// openStore opens the evaluation store with a short retry: a transiently
-// busy path must not kill an exploration about to resume persisted work.
-func openStore(path string) (*store.Store, error) {
-	var st *store.Store
-	p := retry.Policy{MaxAttempts: 3, BaseDelay: 200 * time.Millisecond, MaxDelay: 2 * time.Second}
-	err := p.Do(context.Background(), func(context.Context) error {
-		var err error
-		st, err = store.Open(path)
-		return err
-	})
-	return st, err
+// fatal reports err and exits with code.
+func fatal(code int, err error) {
+	fmt.Fprintln(os.Stderr, "explore:", err)
+	os.Exit(code)
 }
 
 // splitList parses a comma-separated flag, trimming blanks.
@@ -71,33 +61,22 @@ func splitList(s string) []string {
 	return out
 }
 
-// floatList parses a comma-separated list of floats.
-func floatList(name, s string) []float64 {
-	var out []float64
+// parseList parses a comma-separated flag with parse, exiting on a bad
+// element.
+func parseList[T any](name, s string, parse func(string) (T, error)) []T {
+	var out []T
 	for _, p := range splitList(s) {
-		v, err := strconv.ParseFloat(p, 64)
+		v, err := parse(p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "explore: bad -%s value %q: %v\n", name, p, err)
-			os.Exit(2)
+			fatal(2, fmt.Errorf("bad -%s value %q: %v", name, p, err))
 		}
 		out = append(out, v)
 	}
 	return out
 }
 
-// intList parses a comma-separated list of integers.
-func intList(name, s string) []int {
-	var out []int
-	for _, p := range splitList(s) {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "explore: bad -%s value %q: %v\n", name, p, err)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
+// parseFloat is strconv.ParseFloat at 64 bits, shaped for parseList.
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 func main() {
 	var (
@@ -125,21 +104,24 @@ func main() {
 	)
 	flag.Parse()
 
+	outFormat, err := report.ParseFormat(*format)
+	if err != nil {
+		fatal(2, err)
+	}
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFmt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "explore:", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 
-	spec := explore.Spec{
-		Space: explore.Space{
+	spec := repro.ExploreSpec{
+		Space: repro.ExploreSpace{
 			Bases:      splitList(*bases),
-			XScales:    floatList("xscales", *xscales),
-			Staggers:   intList("staggers", *staggers),
-			FUScales:   floatList("fuscales", *fuscales),
-			MSHRs:      intList("mshrs", *mshrs),
-			MemPorts:   intList("ports", *ports),
-			FaultRates: floatList("rates", *rates),
+			XScales:    parseList("xscales", *xscales, parseFloat),
+			Staggers:   parseList("staggers", *staggers, strconv.Atoi),
+			FUScales:   parseList("fuscales", *fuscales, parseFloat),
+			MSHRs:      parseList("mshrs", *mshrs, strconv.Atoi),
+			MemPorts:   parseList("ports", *ports, strconv.Atoi),
+			FaultRates: parseList("rates", *rates, parseFloat),
 		},
 		Strategy:      *strategy,
 		Benchmarks:    splitList(*benchs),
@@ -154,30 +136,25 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	reg := telemetry.NewRegistry()
-	sims := sim.NewSuite(sim.Options{WarmupInstrs: *warm, MeasureInstrs: *n}).WithTelemetry(reg)
-	eng := explore.New(sims)
-	if *storeP != "" {
-		st, err := openStore(*storeP)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "explore:", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		sims.WithStore(st)
-		eng.WithStore(st)
+	c, err := repro.NewClient(
+		repro.WithOptions(repro.Options{WarmupInstrs: *warm, MeasureInstrs: *n}),
+		repro.WithStore(*storeP))
+	if err != nil {
+		fatal(1, err)
 	}
+	defer c.Close()
 
-	progress := func(p explore.Progress) {
+	progress := func(p repro.ExploreProgress) {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "\r%s %d/%d (resumed %d) ", p.Phase, p.Done, p.Total, p.Resumed)
 		}
 	}
-	res, err := eng.Run(ctx, spec, progress)
-	for _, st := range sims.StageSnapshots() {
-		logger.Debug("sim stage timing", "stage", st.Labels[0],
-			"count", st.Snapshot.Count, "total_s", st.Snapshot.Sum,
-			"p50_s", st.Snapshot.Quantile(0.5), "p99_s", st.Snapshot.Quantile(0.99))
+	// The job runs under ctx, so a signal cancels it; waiting without a
+	// deadline lets it stop at its own checkpoint with its work persisted.
+	res, err := c.StartExplore(ctx, spec, repro.WithProgress(progress)).Wait(context.Background())
+	for _, st := range c.Metrics().Stages {
+		logger.Debug("sim stage timing", "stage", st.Stage, "count", st.Count,
+			"total_s", st.TotalSeconds, "p50_s", st.P50Seconds, "p99_s", st.P99Seconds)
 	}
 	if !*quiet {
 		fmt.Fprintln(os.Stderr)
@@ -194,29 +171,24 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "explore:", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 		defer f.Close()
 		w = f
 	}
 	rep := res.Report()
-	switch *format {
-	case "text":
+	switch outFormat {
+	case report.FormatText:
 		err = rep.Text(w)
-	case "json":
+	case report.FormatJSON:
 		err = rep.JSON(w)
-	case "csv":
-		err = report.WriteCSV(w, rep)
-	default:
-		fmt.Fprintf(os.Stderr, "explore: unknown -format %q (have text, json, csv)\n", *format)
-		os.Exit(2)
+	case report.FormatCSV:
+		err = rep.CSV(w)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "explore:", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	if *storeP != "" && !*quiet {
-		fmt.Fprintf(os.Stderr, "(%s; store %s)\n", sims.Counters().Summary(), *storeP)
+		fmt.Fprintf(os.Stderr, "(%s; store %s)\n", c.Metrics().Summary(), *storeP)
 	}
 }

@@ -3,8 +3,8 @@
 // coverage — an extension beyond the paper's performance-only evaluation,
 // validating that the protection the machines pay for actually works.
 //
-// It is a thin preset over the Monte Carlo campaign engine
-// (internal/campaign): each (machine, rate) cell runs a campaign of
+// It is a thin preset over the client's Monte Carlo campaigns
+// (repro.Client.StartCampaign): each (machine, rate) cell runs a campaign of
 // -trials independent fault-injection trials, classifies every trial
 // (detected / squashed / masked / SDC / hang / clean) against a
 // fault-free golden run, and reports coverage with Wilson 95% confidence
@@ -35,28 +35,15 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
-	"repro/internal/campaign"
-	"repro/internal/report"
-	"repro/internal/retry"
-	"repro/internal/sim"
-	"repro/internal/store"
+	"repro"
 	"repro/internal/telemetry"
 )
 
-// openStore opens the trial store with a short retry: a transiently
-// busy path must not kill a sweep that is about to resume hours of
-// persisted work.
-func openStore(path string) (*store.Store, error) {
-	var st *store.Store
-	p := retry.Policy{MaxAttempts: 3, BaseDelay: 200 * time.Millisecond, MaxDelay: 2 * time.Second}
-	err := p.Do(context.Background(), func(context.Context) error {
-		var err error
-		st, err = store.Open(path)
-		return err
-	})
-	return st, err
+// fatal reports err and exits.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "faultstudy:", err)
+	os.Exit(1)
 }
 
 func main() {
@@ -77,16 +64,14 @@ func main() {
 
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFmt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "faultstudy:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 
 	var rates []float64
 	for _, s := range strings.Split(*rateList, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "faultstudy: bad rate:", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("bad rate: %w", err))
 		}
 		rates = append(rates, r)
 	}
@@ -94,28 +79,22 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	reg := telemetry.NewRegistry()
-	sims := sim.NewSuite(sim.Options{WarmupInstrs: *warm, MeasureInstrs: *n}).WithTelemetry(reg)
-	eng := campaign.New(sims)
-	if *storeP != "" {
-		st, err := openStore(*storeP)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "faultstudy:", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		sims.WithStore(st)
-		eng.WithStore(st)
+	c, err := repro.NewClient(
+		repro.WithOptions(repro.Options{WarmupInstrs: *warm, MeasureInstrs: *n}),
+		repro.WithStore(*storeP))
+	if err != nil {
+		fatal(err)
 	}
+	defer c.Close()
 
-	rep := report.New("faultstudy",
+	rep := repro.NewReport("faultstudy",
 		fmt.Sprintf("Transient-fault campaigns on %s (%d trials per cell, %d instructions per trial)",
 			*bench, *trials, *n))
 	tb := rep.AddTable("Coverage by machine and rate",
 		"machine@rate", "faulted", "det", "sq", "mask", "sdc", "hang",
 		"cov%", "lo%", "hi%", "lat(cy)", "ovh%")
 	tb.Verb = "%.4g"
-	var rtb *report.Table
+	var rtb *repro.ReportTable
 	if *recMode != "" {
 		rep.SetMeta("recovery", *recMode)
 		rtb = rep.AddTable("Recovery and availability by machine and rate",
@@ -127,32 +106,32 @@ func main() {
 	for _, mname := range strings.Split(*machines, ",") {
 		mname = strings.TrimSpace(mname)
 		for _, rate := range rates {
-			res, err := eng.Run(ctx, campaign.Spec{
+			// Each campaign runs under ctx, so a signal cancels it; waiting
+			// without a deadline lets it stop with its trials persisted.
+			res, err := c.StartCampaign(ctx, repro.CampaignSpec{
 				Machine:   mname,
 				Benchmark: *bench,
 				Trials:    *trials,
 				FaultRate: rate,
 				Seed:      *seed,
 				Recovery:  *recMode,
-			}, nil)
+			}).Wait(context.Background())
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "faultstudy:", err)
-				os.Exit(1)
+				fatal(err)
 			}
-			c := res.Counts()
+			counts := res.Counts()
 			cov := res.Coverage()
 			agg := res.Aggregates()
 			cell := fmt.Sprintf("%s@%.0e", res.Golden.Machine, rate)
 			tb.AddRow(cell,
-				float64(cov.N), float64(c.Detected), float64(c.Squashed),
-				float64(c.Masked), float64(c.SDC), float64(c.Hang),
+				float64(cov.N), float64(counts.Detected), float64(counts.Squashed),
+				float64(counts.Masked), float64(counts.SDC), float64(counts.Hang),
 				100*cov.Point, 100*cov.Lo, 100*cov.Hi, agg.DetectLatency, agg.Overhead)
 			if rtb != nil {
 				rs := res.RecoverySummary()
-				av, ok := res.Availability(campaign.DefaultRepairCycles)
+				av, ok := res.Availability(repro.DefaultRepairCycles)
 				if rs == nil || !ok {
-					fmt.Fprintln(os.Stderr, "faultstudy: recovery campaign produced no summary for", cell)
-					os.Exit(1)
+					fatal(fmt.Errorf("recovery campaign produced no summary for %s", cell))
 				}
 				rtb.AddRow(cell,
 					float64(rs.Rollbacks), float64(rs.Overruns+rs.Unrecoverable),
@@ -173,17 +152,16 @@ func main() {
 	rep.AddNote("soft-exception recovery relative to each machine's fault-free golden run.")
 	if *recMode != "" {
 		rep.AddNote("recovery: %s; fatal = overruns + unrecoverable detections; availability", *recMode)
-		rep.AddNote("assumes a %d-cycle repair after each fatal failure (renewal model,", campaign.DefaultRepairCycles)
+		rep.AddNote("assumes a %d-cycle repair after each fatal failure (renewal model,", repro.DefaultRepairCycles)
 		rep.AddNote("Wilson-propagated bounds); MTTF(cy) 0 means no fatal failure was observed.")
 	}
 	fmt.Print(rep.String())
 	if *storeP != "" {
-		fmt.Fprintf(os.Stderr, "(%s; store %s)\n", sims.Counters().Summary(), *storeP)
+		fmt.Fprintf(os.Stderr, "(%s; store %s)\n", c.Metrics().Summary(), *storeP)
 	}
 	// Stage timing summary at debug: where the sweep's wall-clock went.
-	for _, st := range sims.StageSnapshots() {
-		logger.Debug("sim stage timing", "stage", st.Labels[0],
-			"count", st.Snapshot.Count, "total_s", st.Snapshot.Sum,
-			"p50_s", st.Snapshot.Quantile(0.5), "p99_s", st.Snapshot.Quantile(0.99))
+	for _, st := range c.Metrics().Stages {
+		logger.Debug("sim stage timing", "stage", st.Stage, "count", st.Count,
+			"total_s", st.TotalSeconds, "p50_s", st.P50Seconds, "p99_s", st.P99Seconds)
 	}
 }

@@ -8,8 +8,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/config"
@@ -23,15 +25,20 @@ func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
+	var err error
 	switch os.Args[1] {
 	case "capture":
-		capture(os.Args[2:])
+		err = capture(os.Args[2:], os.Stdout)
 	case "info":
-		info(os.Args[2:])
+		err = info(os.Args[2:], os.Stdout)
 	case "run":
-		run(os.Args[2:])
+		err = run(os.Args[2:], os.Stdout)
 	default:
 		usage()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracetool:", err)
+		os.Exit(1)
 	}
 }
 
@@ -39,64 +46,64 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   tracetool capture -bench <name> [-n instrs] [-wrong instrs] -o <file>
   tracetool info <file>
-  tracetool run [-machine ss1|ss2|shrec|diva|o3rs] [-n instrs] <file>`)
+  tracetool run [-machine spec] [-n instrs] [-warmup instrs] <file>`)
 	os.Exit(2)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracetool:", err)
-	os.Exit(1)
-}
-
-func capture(args []string) {
-	fs := flag.NewFlagSet("capture", flag.ExitOnError)
+// capture records a synthetic workload's trace to a file.
+func capture(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("capture", flag.ContinueOnError)
 	bench := fs.String("bench", "swim", "benchmark to capture")
 	n := fs.Int("n", 500_000, "correct-path instructions")
 	wrong := fs.Int("wrong", 50_000, "wrong-path instructions")
 	out := fs.String("o", "", "output file (required)")
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *out == "" {
-		usage()
+		return fmt.Errorf("capture: -o is required")
 	}
 	p, err := workload.ByName(*bench)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rec, err := trace.Capture(trace.New(p), *n, *wrong)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	f, err := os.Create(*out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	written, err := rec.WriteTo(f)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("captured %s: %d + %d instructions, %d bytes -> %s\n",
+	_, err = fmt.Fprintf(w, "captured %s: %d + %d instructions, %d bytes -> %s\n",
 		*bench, rec.Len(), rec.WrongLen(), written, *out)
+	return err
 }
 
-func load(path string) *trace.Recording {
+// load reads a recording written by capture.
+func load(path string) (*trace.Recording, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer f.Close()
-	rec, err := trace.ReadRecording(f)
-	if err != nil {
-		fatal(err)
-	}
-	return rec
+	return trace.ReadRecording(f)
 }
 
-func info(args []string) {
+// info prints a recording's instruction mix.
+func info(args []string, w io.Writer) error {
 	if len(args) != 1 {
-		usage()
+		return fmt.Errorf("info: want one trace file, got %d arguments", len(args))
 	}
-	rec := load(args[0])
+	rec, err := load(args[0])
+	if err != nil {
+		return err
+	}
 	var counts [isa.NumOpClasses]int
 	branches, taken := 0, 0
 	for i := 0; i < rec.Len(); i++ {
@@ -109,64 +116,58 @@ func info(args []string) {
 			}
 		}
 	}
-	fmt.Printf("%s: %d correct-path + %d wrong-path instructions\n",
+	fmt.Fprintf(w, "%s: %d correct-path + %d wrong-path instructions\n",
 		args[0], rec.Len(), rec.WrongLen())
 	for c := 0; c < isa.NumOpClasses; c++ {
 		if counts[c] == 0 {
 			continue
 		}
-		fmt.Printf("  %-7s %8d  (%.1f%%)\n", isa.OpClass(c), counts[c],
+		fmt.Fprintf(w, "  %-7s %8d  (%.1f%%)\n", isa.OpClass(c), counts[c],
 			100*float64(counts[c])/float64(rec.Len()))
 	}
 	if branches > 0 {
-		fmt.Printf("  taken branch fraction: %.1f%%\n", 100*float64(taken)/float64(branches))
+		fmt.Fprintf(w, "  taken branch fraction: %.1f%%\n", 100*float64(taken)/float64(branches))
 	}
+	return nil
 }
 
-func run(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	machine := fs.String("machine", "shrec", "machine model")
+// run replays a recording on one machine and prints its IPC. -machine
+// takes any spec config.ByName parses (ss2+s, meek@2, shrec+ctx4, ...).
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	machine := fs.String("machine", "shrec", "machine spec, e.g. ss1, ss2+s, shrec+ctx4, meek@2")
 	n := fs.Uint64("n", 0, "instructions to simulate (default: one full lap)")
 	warm := fs.Uint64("warmup", 100_000, "warmup instructions")
-	_ = fs.Parse(args)
-	if fs.NArg() != 1 {
-		usage()
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	rec := load(fs.Arg(0))
-	m, err := machineFor(*machine)
+	if fs.NArg() != 1 {
+		return fmt.Errorf("run: want one trace file, got %d arguments", fs.NArg())
+	}
+	m, err := config.ByName(*machine)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	rec, err := load(fs.Arg(0))
+	if err != nil {
+		return err
 	}
 	count := *n
 	if count == 0 {
 		count = uint64(rec.Len())
 	}
+	ctx := context.Background()
 	e := core.New(m, rec)
 	if *warm > 0 {
-		if err := e.Warmup(*warm); err != nil {
-			fatal(err)
+		if err := e.WarmupContext(ctx, *warm); err != nil {
+			return err
 		}
 	}
-	st, err := e.Run(count)
+	st, err := e.RunBudget(ctx, count, 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%s on %s: IPC %.3f over %d instructions (%d cycles)\n",
+	_, err = fmt.Fprintf(w, "%s on %s: IPC %.3f over %d instructions (%d cycles)\n",
 		m.Name, fs.Arg(0), st.IPC(), st.Retired, st.Cycles)
-}
-
-func machineFor(name string) (config.Machine, error) {
-	switch name {
-	case "ss1":
-		return config.SS1(), nil
-	case "ss2":
-		return config.SS2(config.Factors{}), nil
-	case "shrec":
-		return config.SHREC(), nil
-	case "diva":
-		return config.DIVA(), nil
-	case "o3rs":
-		return config.O3RS(), nil
-	}
-	return config.Machine{}, fmt.Errorf("unknown machine %q", name)
+	return err
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -49,11 +49,11 @@ func main() {
 			}
 
 			e := core.New(config.SS1(), trace.New(p))
-			if err := e.Warmup(*warm); err != nil {
+			if err := e.WarmupContext(context.Background(), *warm); err != nil {
 				fmt.Fprintln(os.Stderr, "workloads:", err)
 				os.Exit(1)
 			}
-			st, err := e.Run(*n)
+			st, err := e.RunBudget(context.Background(), *n, 0)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "workloads:", err)
 				os.Exit(1)
@@ -81,7 +81,6 @@ func main() {
 	}
 	wg.Wait()
 
-	_ = sim.DefaultOptions() // keep import for future options plumbing
 	tb := stats.NewTable("Synthetic SPEC2K-like workload characterization (SS1 baseline)",
 		"benchmark", "class", "IPC", "int", "fp", "mem", "br", "mispred", "L1D", "L2", "MLP")
 	for _, r := range rows {

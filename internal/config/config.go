@@ -173,8 +173,8 @@ type Machine struct {
 
 	// FaultRate is the per-instruction probability of injecting a
 	// transient result corruption (0 disables injection). Used by the
-	// fault campaign engine, the fault-injection example, and recovery
-	// tests.
+	// fault campaign engine, explorations with a fault-rate axis, and
+	// recovery tests.
 	FaultRate float64
 	// FaultSeed seeds the fault injector. Campaigns derive a distinct
 	// seed per trial, so trials sample independent fault sites.
@@ -508,8 +508,9 @@ func (m Machine) WithCkptDepth(n int) Machine {
 // checkpoints), all case-insensitive. "shrec@x1.5+stagger2" is the SHREC
 // machine at 1.5X issue bandwidth with a 2-instruction stagger bound;
 // "shrec+ckpt64k+depth2" checkpoints every 65536 instructions retaining
-// two. It is the shared parser behind cmd/shrecsim's -machine flag,
-// shrecd's request decoding, and the exploration engine's point decoding;
+// two. It is the shared parser behind every machine name a command or
+// request takes (cmd/tracetool's -machine flag, campaign specs, shrecd's
+// request decoding, and the exploration engine's point decoding);
 // Machine.Spec renders the inverse.
 func ByName(name string) (Machine, error) {
 	lower := strings.ToLower(strings.TrimSpace(name))

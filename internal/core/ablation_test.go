@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -242,7 +243,7 @@ func TestArchitecturalStreamPreserved(t *testing.T) {
 	m.FaultRate = 5e-5
 	m.FaultSeed = 99
 	e := New(m, trace.New(p))
-	st, err := e.Run(n)
+	st, err := e.RunBudget(context.Background(), n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,10 +371,10 @@ func TestPrefetchSubstitutesForWindow(t *testing.T) {
 	}
 	// And the prefetcher must actually be covering the stream.
 	e := New(withPf(config.SS2(config.Factors{})), trace.New(p))
-	if err := e.Warmup(warm); err != nil {
+	if err := e.WarmupContext(context.Background(), warm); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(n); err != nil {
+	if _, err := e.RunBudget(context.Background(), n, 0); err != nil {
 		t.Fatal(err)
 	}
 	issued, useful := e.Mem().PrefetchStats()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // runTo drives the engine until its total retired count reaches n.
 func runTo(t *testing.T, e *Engine, n uint64) Stats {
 	t.Helper()
-	st, err := e.Run(n)
+	st, err := e.RunBudget(context.Background(), n, 0)
 	if err != nil {
 		t.Fatalf("run to %d: %v", n, err)
 	}

@@ -93,7 +93,7 @@ func TestConformanceCheckpointRestore(t *testing.T) {
 			p := testWorkload(11)
 
 			e := New(m, trace.New(p))
-			if _, err := e.Run(conformRun / 3); err != nil {
+			if _, err := e.RunBudget(context.Background(), conformRun/3, 0); err != nil {
 				t.Fatal(err)
 			}
 			cp, err := e.Checkpoint()
@@ -102,7 +102,7 @@ func TestConformanceCheckpointRestore(t *testing.T) {
 			}
 
 			// The original continues to the full target...
-			want, err := e.Run(conformRun)
+			want, err := e.RunBudget(context.Background(), conformRun, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestConformanceCheckpointRestore(t *testing.T) {
 			// ...a sibling engine spawned from the checkpoint must land on
 			// exactly the same stats...
 			fresh := cp.NewEngine()
-			got, err := fresh.Run(conformRun)
+			got, err := fresh.RunBudget(context.Background(), conformRun, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestConformanceCheckpointRestore(t *testing.T) {
 
 			// ...and so must the original after an in-place rewind.
 			e.Restore(cp)
-			got, err = e.Run(conformRun)
+			got, err = e.RunBudget(context.Background(), conformRun, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,13 +225,13 @@ func TestConformanceZeroAlloc(t *testing.T) {
 	for _, m := range conformanceMachines() {
 		t.Run(m.Name, func(t *testing.T) {
 			e := New(m, trace.New(testWorkload(19)))
-			if err := e.Warmup(conformWarm); err != nil {
+			if err := e.WarmupContext(context.Background(), conformWarm); err != nil {
 				t.Fatal(err)
 			}
 			target := uint64(0)
 			allocs := testing.AllocsPerRun(5, func() {
 				target += 2000
-				if _, err := e.Run(target); err != nil {
+				if _, err := e.RunBudget(context.Background(), target, 0); err != nil {
 					t.Fatal(err)
 				}
 			})

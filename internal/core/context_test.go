@@ -16,7 +16,7 @@ func TestRunContextCancelled(t *testing.T) {
 	e := New(config.SS1(), trace.New(testWorkload(51)))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st, err := e.RunContext(ctx, 100_000_000)
+	st, err := e.RunBudget(ctx, 100_000_000, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -32,7 +32,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.RunContext(ctx, 1_000_000_000)
+		_, err := e.RunBudget(ctx, 1_000_000_000, 0)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -59,15 +59,17 @@ func TestWarmupContextDeadline(t *testing.T) {
 }
 
 // The context plumbing must not change simulation results: a run under a
-// live context is cycle-identical to the plain Run path.
+// live, cancellable context is cycle-identical to one under Background.
 func TestRunContextDeterministicVsRun(t *testing.T) {
 	a := New(config.SS2(config.Factors{S: true}), trace.New(testWorkload(57)))
 	b := New(config.SS2(config.Factors{S: true}), trace.New(testWorkload(57)))
-	sa, err := a.Run(20000)
+	sa, err := a.RunBudget(context.Background(), 20000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := b.RunContext(context.Background(), 20000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sb, err := b.RunBudget(ctx, 20000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -22,10 +23,10 @@ func TestDeterminism(t *testing.T) {
 	}
 	run := func(m config.Machine, p trace.Profile) Stats {
 		e := New(m, trace.New(p))
-		if err := e.Warmup(4000); err != nil {
+		if err := e.WarmupContext(context.Background(), 4000); err != nil {
 			t.Fatalf("%s on %s: warmup: %v", m.Name, p.Name, err)
 		}
-		st, err := e.Run(12000)
+		st, err := e.RunBudget(context.Background(), 12000, 0)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", m.Name, p.Name, err)
 		}

@@ -415,40 +415,20 @@ func (e *Engine) ResetStats() {
 	e.pool.ResetStats()
 }
 
-// Warmup runs n instructions and then resets the counters.
-func (e *Engine) Warmup(n uint64) error {
-	return e.WarmupContext(context.Background(), n)
-}
-
-// WarmupContext is Warmup with cancellation checkpoints.
+// WarmupContext runs n instructions (RunBudget without a cycle budget)
+// and then resets the counters.
 func (e *Engine) WarmupContext(ctx context.Context, n uint64) error {
-	if _, err := e.RunContext(ctx, n); err != nil {
+	if _, err := e.RunBudget(ctx, n, 0); err != nil {
 		return err
 	}
 	e.ResetStats()
 	return nil
 }
 
-// Run simulates until n correct-path instructions have retired and returns
-// the statistics. It returns an error if the pipeline deadlocks (no
-// retirement progress for a long stretch), which indicates a model bug.
-func (e *Engine) Run(n uint64) (Stats, error) {
-	return e.RunContext(context.Background(), n)
-}
-
 // ctxCheckInterval is how many cycles run between cancellation
 // checkpoints. Large enough that the ctx poll is invisible in the hot
 // loop, small enough that cancellation lands within microseconds.
 const ctxCheckInterval = 4096
-
-// RunContext is Run with cancellation checkpoints: every few thousand
-// simulated cycles the step loop polls ctx, so long experiments driven by
-// a server request or a deadline stop promptly when the caller goes away.
-// The engine's state stays consistent on cancellation (it halts between
-// cycles) and the accumulated stats are returned with the context error.
-func (e *Engine) RunContext(ctx context.Context, n uint64) (Stats, error) {
-	return e.RunBudget(ctx, n, 0)
-}
 
 // ErrHookStop reports that a run stopped because the engine's fault hook
 // (SetFaultHook) requested it on a detected fault. The engine state is the
@@ -461,7 +441,7 @@ var ErrHookStop = errors.New("fault hook requested stop")
 // observer. The hook runs at detection time with the faulting
 // instruction's fetch sequence number, its injection cycle, and the
 // detection cycle (both on the engine's absolute clock); returning true
-// stops the current Run*/RunBudget call with ErrHookStop after the
+// stops the current RunBudget/RunExact call with ErrHookStop after the
 // detection's soft exception completes.
 func (e *Engine) SetFaultHook(hook func(seq uint64, injectAt, detectAt int64) bool) {
 	e.faultHook = hook
@@ -475,9 +455,17 @@ func (e *Engine) SetFaultHook(hook func(seq uint64, injectAt, detectAt int64) bo
 // as hung rather than simulated indefinitely.
 var ErrCycleBudget = errors.New("cycle budget exhausted")
 
-// RunBudget is RunContext with a hang watchdog: if maxCycles > 0 and
-// Stats.Cycles (cycles since the last ResetStats) exceeds the budget
-// before n instructions retire, the run stops with an error wrapping
+// RunBudget simulates until n correct-path instructions have retired and
+// returns the statistics. It returns an error if the pipeline deadlocks
+// (no retirement progress for a long stretch), which indicates a model
+// bug. Every few thousand simulated cycles the step loop polls ctx, so a
+// run driven by a server request or a deadline stops promptly when the
+// caller goes away; the engine halts between cycles, and the accumulated
+// stats are returned with the context error.
+//
+// With maxCycles > 0 the run also has a hang watchdog: if Stats.Cycles
+// (cycles since the last ResetStats) exceeds the budget before n
+// instructions retire, the run stops with an error wrapping
 // ErrCycleBudget and the stats accumulated so far. The budget is checked
 // after every step, so a fast-forward may overshoot it by one skip span.
 func (e *Engine) RunBudget(ctx context.Context, n uint64, maxCycles int64) (Stats, error) {
@@ -594,7 +582,7 @@ func (e *Engine) fastForward() {
 	horizon := e.nextEventAt()
 	if horizon == notDone || horizon <= e.now+1 {
 		// No scheduled event (a deadlocked model steps cycle-by-cycle into
-		// RunContext's stall detector) or the event is next cycle anyway.
+		// RunBudget's stall detector) or the event is next cycle anyway.
 		return
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -56,7 +57,7 @@ const testInstrs = 30000
 func runOn(t *testing.T, m config.Machine, p trace.Profile, n uint64) Stats {
 	t.Helper()
 	e := New(m, trace.New(p))
-	st, err := e.Run(n)
+	st, err := e.RunBudget(context.Background(), n, 0)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", m.Name, p.Name, err)
 	}
@@ -68,10 +69,10 @@ func runOn(t *testing.T, m config.Machine, p trace.Profile, n uint64) Stats {
 func warmRun(t *testing.T, m config.Machine, p trace.Profile, warm, n uint64) Stats {
 	t.Helper()
 	e := New(m, trace.New(p))
-	if err := e.Warmup(warm); err != nil {
+	if err := e.WarmupContext(context.Background(), warm); err != nil {
 		t.Fatalf("%s on %s (warmup): %v", m.Name, p.Name, err)
 	}
-	st, err := e.Run(n)
+	st, err := e.RunBudget(context.Background(), n, 0)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", m.Name, p.Name, err)
 	}

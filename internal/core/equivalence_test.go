@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -74,17 +75,17 @@ func assertEquivalent(t *testing.T, m config.Machine, p trace.Profile, warm, n u
 	ref := New(m, trace.New(p), WithTickLoop())
 	fast := New(m, trace.New(p))
 
-	if err := ref.Warmup(warm); err != nil {
+	if err := ref.WarmupContext(context.Background(), warm); err != nil {
 		t.Fatalf("%s on %s: reference warmup: %v", m.Name, p.Name, err)
 	}
-	if err := fast.Warmup(warm); err != nil {
+	if err := fast.WarmupContext(context.Background(), warm); err != nil {
 		t.Fatalf("%s on %s: fast warmup: %v", m.Name, p.Name, err)
 	}
-	refStats, err := ref.Run(n)
+	refStats, err := ref.RunBudget(context.Background(), n, 0)
 	if err != nil {
 		t.Fatalf("%s on %s: reference run: %v", m.Name, p.Name, err)
 	}
-	fastStats, err := fast.Run(n)
+	fastStats, err := fast.RunBudget(context.Background(), n, 0)
 	if err != nil {
 		t.Fatalf("%s on %s: fast run: %v", m.Name, p.Name, err)
 	}
@@ -144,7 +145,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 func TestFastForwardActuallySkips(t *testing.T) {
 	p := memWorkload(11)
 	e := New(config.SS1(), trace.New(p))
-	st, err := e.Run(20000)
+	st, err := e.RunBudget(context.Background(), 20000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,7 @@ func TestFaultFreeChunkingInvariant(t *testing.T) {
 	m := config.SHREC()
 
 	plain := core.New(m, trace.New(p))
-	want, err := plain.Run(n)
+	want, err := plain.RunBudget(context.Background(), n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

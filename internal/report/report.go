@@ -278,6 +278,26 @@ func (t *Table) text(b *strings.Builder) {
 	b.WriteString(tb.String())
 }
 
+// Format names one of the three report renderings.
+type Format string
+
+// The report renderings: Text, JSON, and CSV.
+const (
+	FormatText Format = "text"
+	FormatJSON Format = "json"
+	FormatCSV  Format = "csv"
+)
+
+// ParseFormat validates a rendering name ("text", "json", or "csv").
+// Callers parse before simulating anything, so a bad name costs no work.
+func ParseFormat(s string) (Format, error) {
+	switch f := Format(s); f {
+	case FormatText, FormatJSON, FormatCSV:
+		return f, nil
+	}
+	return "", fmt.Errorf("unknown format %q (have text, json, csv)", s)
+}
+
 // JSON writes the report as one indented JSON object.
 func (r *Report) JSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

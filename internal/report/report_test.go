@@ -148,3 +148,17 @@ func TestEmptyReport(t *testing.T) {
 		t.Fatalf("empty CSV = %q", b.String())
 	}
 }
+
+func TestParseFormat(t *testing.T) {
+	for _, s := range []string{"text", "json", "csv"} {
+		f, err := ParseFormat(s)
+		if err != nil || string(f) != s {
+			t.Fatalf("ParseFormat(%q) = %q, %v", s, f, err)
+		}
+	}
+	for _, s := range []string{"", "yaml", "JSON", " csv"} {
+		if f, err := ParseFormat(s); err == nil {
+			t.Fatalf("ParseFormat(%q) = %q, want an error", s, f)
+		}
+	}
+}

@@ -540,26 +540,22 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 // pickFormat resolves the response encoding of GET /experiments/{name}:
 // an explicit ?format=text|json|csv query wins, then the Accept header,
 // then JSON.
-func pickFormat(r *http.Request) (string, error) {
+func pickFormat(r *http.Request) (report.Format, error) {
 	if f := r.URL.Query().Get("format"); f != "" {
-		switch f {
-		case "text", "json", "csv":
-			return f, nil
-		}
-		return "", fmt.Errorf("unknown format %q (have text, json, csv)", f)
+		return report.ParseFormat(f)
 	}
 	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
 		mediaType, _, _ := strings.Cut(strings.TrimSpace(part), ";")
 		switch mediaType {
 		case "application/json":
-			return "json", nil
+			return report.FormatJSON, nil
 		case "text/csv":
-			return "csv", nil
+			return report.FormatCSV, nil
 		case "text/plain":
-			return "text", nil
+			return report.FormatText, nil
 		}
 	}
-	return "json", nil
+	return report.FormatJSON, nil
 }
 
 // runExperiment produces the named experiment's report under the worker
@@ -597,15 +593,15 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch format {
-	case "json":
+	case report.FormatJSON:
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_ = rep.JSON(w)
-	case "csv":
+	case report.FormatCSV:
 		w.Header().Set("Content-Type", "text/csv")
 		w.WriteHeader(http.StatusOK)
 		_ = rep.CSV(w)
-	case "text":
+	case report.FormatText:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
 		_ = rep.Text(w)
