@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full race bench bench-cycle bench-http bench-baseline bench-gate fmt vet perfbench-vet examples cli-smoke crash-test obs-smoke docs docs-check ci
+.PHONY: build test test-full race bench bench-cycle bench-http bench-baseline bench-gate fmt vet perfbench-vet examples cli-smoke engine-identity crash-test obs-smoke docs docs-check ci
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,13 @@ cli-smoke:
 	fi; \
 	echo "cli-smoke: explore -format yaml exited 2 before simulating"
 
+# Engine identity: the full (non-short) fast-forward/tick-loop
+# equivalence suite over every workload, and the cross-mode conformance
+# suite. The short suite runs equivalence on the memory-bound workload
+# only; this target covers all three (about 20 s on 2 vCPUs).
+engine-identity:
+	$(GO) test -count=1 -run 'TestFastForwardEquivalence|TestConformance' ./internal/core/
+
 # Crash-recovery acceptance: SIGKILL a real shrecd mid-campaign and
 # assert the restarted server re-adopts the journaled job and finishes
 # it with the same results; then the store corruption/chaos suites, the
@@ -141,4 +148,4 @@ obs-smoke:
 	$(GO) test -count=1 -run 'TestMetrics' ./internal/shrecd/
 	$(GO) test -count=1 -run 'TestLint|TestRenderPassesLint' ./internal/telemetry/
 
-ci: build vet perfbench-vet fmt test examples cli-smoke docs-check
+ci: build vet perfbench-vet fmt test engine-identity examples cli-smoke docs-check

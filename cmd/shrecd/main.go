@@ -55,26 +55,11 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/retry"
 	"repro/internal/shrecd"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
-
-// openStore opens a segmented store with a short retry, so a transiently
-// busy path (another process finishing compaction, a slow mount) does
-// not kill the server at boot.
-func openStore(path string, opt store.Options) (*store.Store, error) {
-	var st *store.Store
-	p := retry.Policy{MaxAttempts: 3, BaseDelay: 200 * time.Millisecond, MaxDelay: 2 * time.Second}
-	err := p.Do(context.Background(), func(context.Context) error {
-		var err error
-		st, err = store.OpenWith(path, opt)
-		return err
-	})
-	return st, err
-}
 
 func main() {
 	var (
@@ -116,7 +101,7 @@ func main() {
 	var st *store.Store
 	if *storePath != "" {
 		var err error
-		st, err = openStore(*storePath, store.Options{})
+		st, err = store.OpenWith(*storePath, store.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "shrecd:", err)
 			os.Exit(1)
@@ -130,7 +115,7 @@ func main() {
 		var err error
 		// SyncAlways: a journal entry that can be lost to a power cut is
 		// not a journal.
-		journal, err = openStore(*journalP, store.Options{Sync: store.SyncAlways})
+		journal, err = store.OpenWith(*journalP, store.Options{Sync: store.SyncAlways})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "shrecd:", err)
 			os.Exit(1)

@@ -59,15 +59,15 @@ type Engine struct {
 	replay        []isa.Inst // re-fetch queue after a soft exception
 	wpBranch      int32      // unresolved mispredicted correct-path branch slot; -1 = none
 
-	// SHREC checker state: the number of check-issued but unretired
-	// entries counted from the ROB head. The oldest unchecked entry is at
-	// robM position checkCount. Retirement (which only retires checked
+	// Checker state: the number of check-issued but unretired entries
+	// counted from the ROB head. The oldest unchecked entry is at robM
+	// position checkCount. Retirement (which only retires checked
 	// entries) decrements it; wrong-path squashes never remove
 	// check-issued entries (the checker cannot pass an unresolved
 	// branch), so squashes leave it unchanged. Multi-context SHREC claims
 	// entries beyond the prefix too; advanceCheckPrefix re-establishes
-	// the prefix meaning each cycle. MEEK and FLEX reuse the same prefix
-	// count for their check stages.
+	// the prefix meaning each cycle. SHREC, DIVA and FLEX share it through
+	// checkerIssueCtx, and MEEK through its retirement log.
 	checkCount int
 
 	// MEEK checker state: the retirement-log FIFO the in-order lanes

@@ -36,7 +36,10 @@ func memWorkload(seed uint64) trace.Profile {
 // equivalenceMachines are the configurations the skip logic must prove
 // itself on: every execution model, both SS2 duplication disciplines, the
 // dedicated-checker (DIVA) pool, and fault injection with its soft
-// exception squashes.
+// exception squashes. The faulty machines cover every branch of
+// retireHead: SS1's silent escape, O3RS's double-execution detect, the
+// shared and dedicated (DIVA) checker detects, MEEK's lanes, and FLEX's
+// detect-or-escape split.
 func equivalenceMachines() []config.Machine {
 	withFaults := func(m config.Machine) config.Machine {
 		m.Name += "+faults"
@@ -59,7 +62,10 @@ func equivalenceMachines() []config.Machine {
 		config.MEEK(2),
 		config.SHREC().WithContexts(4),
 		flex,
+		withFaults(config.SS1()),
+		withFaults(config.O3RS()),
 		withFaults(config.SHREC()),
+		withFaults(config.DIVA()),
 		withFaults(config.MEEK(2)),
 		withFaults(config.SHREC().WithContexts(4)),
 		withFaults(flex),
@@ -136,6 +142,19 @@ func TestFastForwardEquivalence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestFlexEscapeCountedOnce pins that an unverified (checking-disabled
+// region) faulty FLEX store counts one silent corruption however many
+// cycles it waits for a memory port: the escape is counted after the
+// store commits, so the tick loop, which retries the store every cycle,
+// and the fast loop, which skips the waiting cycles, agree.
+func TestFlexEscapeCountedOnce(t *testing.T) {
+	m := config.FlexMachine(512, 128)
+	m.Name += "+faults"
+	m.FaultRate = 0.02
+	m.FaultSeed = 6
+	assertEquivalent(t, m, memWorkload(6), 5000, 20000)
 }
 
 // TestFastForwardActuallySkips guards the optimization itself: on a

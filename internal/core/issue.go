@@ -29,19 +29,12 @@ func (e *Engine) issue() {
 		} else {
 			e.issueMerged(&budget)
 		}
-	case config.ModeSHREC:
+	case config.ModeSHREC, config.ModeFLEX:
 		e.issueFrom(ThreadM, &budget, &e.stats.IssuedM)
-		if e.cfg.Contexts > 1 {
-			e.checkerIssueCtx(&budget)
-		} else {
-			e.checkerIssue(&budget)
-		}
+		e.checkerIssueCtx(&budget)
 	case config.ModeMEEK:
 		e.issueFrom(ThreadM, &budget, &e.stats.IssuedM)
 		e.meekCheck()
-	case config.ModeFLEX:
-		e.issueFrom(ThreadM, &budget, &e.stats.IssuedM)
-		e.flexCheckerIssue(&budget)
 	case config.ModeO3RS:
 		e.issueO3RS(&budget)
 	default:
@@ -328,14 +321,26 @@ func (e *Engine) youngerMatchingStore(s int32) (int32, bool) {
 	return -1, false
 }
 
-// checkerIssue runs the in-order checker: it considers up to
-// CheckerWindow consecutive completed-but-unchecked instructions at the
-// ROB head and re-executes them. In SHREC the checker competes for the
-// main pipeline's leftover issue slots and functional units; in DIVA mode
-// (CheckerDedicatedFU) it has its own units and issue bandwidth. Issue is
-// strictly in order: the scan stops at the first instruction that is not
-// completed or cannot obtain a unit.
-func (e *Engine) checkerIssue(budget *int) {
+// checkerIssueCtx is the one in-order checker scan, shared by SHREC,
+// DIVA, SHREC with hardware contexts, and FLEX. It walks the ROB from the
+// first unclaimed instruction and re-executes completed ones, up to
+// CheckerWindow per cycle, stopping at the first that cannot obtain a
+// unit. In SHREC the checker competes for the main pipeline's leftover
+// issue slots and functional units; in DIVA mode (CheckerDedicatedFU) it
+// has its own units and issue bandwidth.
+//
+// The classic checker (Contexts 0 or 1) stops dead at the first
+// incomplete instruction: head-of-line blocking behind every cache miss.
+// With K = Contexts hardware contexts a spare context resumes the scan
+// past it, up to K-1 switches per cycle. Total check-issue bandwidth is
+// unchanged; contexts only hide stalls, exactly like SMT absorbing
+// R-stream work. The scan span is bounded to CheckerWindow*K positions so
+// a deep ROB cannot make the stage superlinear.
+//
+// FLEX instructions in checking-disabled regions pass through for free
+// once completed: verified the cycle they are reached, with no issue
+// slot, functional unit, window slot or scan position.
+func (e *Engine) checkerIssueCtx(budget *int) {
 	w := &e.w
 	pool := e.pool
 	if e.checkerPool != nil {
@@ -346,25 +351,64 @@ func (e *Engine) checkerIssue(budget *int) {
 		dedicated := e.cfg.CheckerWindow
 		budget = &dedicated
 	}
-	for i := 0; i < e.cfg.CheckerWindow && *budget > 0; i++ {
-		if e.checkCount >= e.robM.len() {
-			return
+	flex := e.cfg.Mode == config.ModeFLEX
+	contexts := max(e.cfg.Contexts, 1)
+	e.advanceCheckPrefix()
+	issued, switches := 0, 0
+	limit := e.checkCount + e.cfg.CheckerWindow*contexts
+	for i := e.checkCount; i < e.robM.len(); i++ {
+		s := e.robM.at(i)
+		if flex && w.flags[s]&(fCheckIssued|fWrongPath) == 0 && w.completed(s, e.now) && !e.flexOn(w.seq[s]) {
+			w.flags[s] |= fCheckIssued
+			w.checkedAt[s] = e.now
+			e.progressed = true
+			limit++
+			continue
 		}
-		s := e.robM.at(e.checkCount)
+		if i >= limit || issued >= e.cfg.CheckerWindow || *budget <= 0 {
+			break
+		}
+		if w.flags[s]&fCheckIssued != 0 {
+			continue // claimed by an earlier cycle; verification in flight
+		}
+		if w.flags[s]&fWrongPath != 0 {
+			// Skipping incomplete entries can carry the walk past an
+			// unresolved mispredicted branch into its wrong-path shadow;
+			// never verify (or claim) that work.
+			break
+		}
 		if !w.completed(s, e.now) {
-			return
+			switches++
+			if switches >= contexts {
+				break
+			}
+			e.stats.CheckerCtxSwitches++
+			continue
 		}
 		done, ok := pool.TryIssue(e.now, checkOp(w.inst[s].Class))
 		if !ok {
-			return
+			break
 		}
 		w.flags[s] |= fCheckIssued
 		w.checkedAt[s] = done
 		e.schedule(done)
-		e.checkCount++
 		e.progressed = true
 		*budget--
+		issued++
 		e.stats.IssuedChecker++
+	}
+	e.advanceCheckPrefix()
+}
+
+// advanceCheckPrefix extends checkCount over the contiguous check-issued
+// prefix at the ROB head. Multi-context scans claim entries beyond the
+// prefix; once the gap entries are claimed too, the prefix absorbs them,
+// preserving the retire-time invariant that a retiring (check-issued)
+// head is always counted inside the prefix.
+func (e *Engine) advanceCheckPrefix() {
+	w := &e.w
+	for e.checkCount < e.robM.len() && w.flags[e.robM.at(e.checkCount)]&fCheckIssued != 0 {
+		e.checkCount++
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"repro/internal/isa"
 )
 
-// This file holds the issue- and retire-stage mechanics of the modern
-// detection modes (config.ModeMEEK, SHREC with hardware contexts, and
-// config.ModeFLEX). The classic 2004 modes live in issue.go/retire.go.
+// This file holds what the modern detection modes add to the shared
+// issue and retire stages: MEEK's checker lanes (config.ModeMEEK) and
+// FLEX's region policy (config.ModeFLEX). Both retire through
+// retireHead, and FLEX check-issues through the one checker scan in
+// issue.go, as SHREC with hardware contexts does.
 
 // meekCheck runs MEEK's heterogeneous checker machinery for one cycle.
 // Completed M-stream instructions enter a retirement-log FIFO in program
@@ -15,7 +17,7 @@ import (
 // head when free. The lanes never touch the main pipeline's issue slots
 // or functional units — the only coupling back into the OoO core is
 // backpressure: a full log blocks further check-issue, which blocks
-// retirement (retireChecked requires verification), which fills the ROB.
+// retirement (retireHead requires verification), which fills the ROB.
 func (e *Engine) meekCheck() {
 	w := &e.w
 	// Enqueue stage: move the completed, in-order ROB prefix into the log.
@@ -74,159 +76,8 @@ func meekCheckLatency(c isa.OpClass) int64 {
 	}
 }
 
-// advanceCheckPrefix extends checkCount over the contiguous check-issued
-// prefix at the ROB head. Multi-context scans claim entries beyond the
-// prefix; once the gap entries are claimed too, the prefix absorbs them,
-// preserving the retire-time invariant that a retiring (check-issued)
-// head is always counted inside the prefix.
-func (e *Engine) advanceCheckPrefix() {
-	w := &e.w
-	for e.checkCount < e.robM.len() && w.flags[e.robM.at(e.checkCount)]&fCheckIssued != 0 {
-		e.checkCount++
-	}
-}
-
-// checkerIssueCtx is checkerIssue generalized to Contexts hardware
-// checker contexts: where the classic in-order scan stops dead at the
-// first incomplete instruction (head-of-line blocking behind every cache
-// miss), a spare context resumes the scan past it, up to Contexts-1
-// switches per cycle. Total check-issue bandwidth per cycle is unchanged
-// (CheckerWindow); contexts only hide stalls, exactly like SMT absorbing
-// R-stream work. The scan span is bounded to CheckerWindow*Contexts
-// positions so a deep ROB cannot make the stage superlinear.
-func (e *Engine) checkerIssueCtx(budget *int) {
-	w := &e.w
-	pool := e.pool
-	if e.checkerPool != nil {
-		// DIVA with contexts: the dedicated checker pipeline gains the
-		// same stall-hiding.
-		pool = e.checkerPool
-		pool.BeginCycle(e.now)
-		dedicated := e.cfg.CheckerWindow
-		budget = &dedicated
-	}
-	e.advanceCheckPrefix()
-	issued, switches := 0, 0
-	limit := e.checkCount + e.cfg.CheckerWindow*e.cfg.Contexts
-	for i := e.checkCount; i < e.robM.len() && i < limit && issued < e.cfg.CheckerWindow && *budget > 0; i++ {
-		s := e.robM.at(i)
-		if w.flags[s]&fCheckIssued != 0 {
-			continue // claimed by an earlier cycle; verification in flight
-		}
-		if w.flags[s]&fWrongPath != 0 {
-			// Unlike the classic scan, skipping incomplete entries can
-			// carry the walk past an unresolved mispredicted branch into
-			// its wrong-path shadow; never verify (or claim) that work.
-			break
-		}
-		if !w.completed(s, e.now) {
-			switches++
-			if switches >= e.cfg.Contexts {
-				break
-			}
-			e.stats.CheckerCtxSwitches++
-			continue
-		}
-		done, ok := pool.TryIssue(e.now, checkOp(w.inst[s].Class))
-		if !ok {
-			break
-		}
-		w.flags[s] |= fCheckIssued
-		w.checkedAt[s] = done
-		e.schedule(done)
-		if i == e.checkCount {
-			e.checkCount++
-		}
-		e.progressed = true
-		*budget--
-		issued++
-		e.stats.IssuedChecker++
-	}
-	e.advanceCheckPrefix()
-}
-
 // flexOn reports whether checking is enabled for the instruction with
 // the given fetch sequence number under the machine's region policy.
 func (e *Engine) flexOn(seq uint64) bool {
 	return seq%e.cfg.FlexPeriod < e.cfg.FlexOn
-}
-
-// flexCheckerIssue is the FLEX checker: the classic in-order SHREC scan,
-// except instructions in checking-disabled regions pass the check stage
-// for free — no issue slot, no functional unit, verified the same cycle
-// they are reached. Requiring completion even for pass-throughs keeps
-// the scan stopping at the first incomplete entry, which (as in SHREC)
-// is what keeps wrong-path work out of the check stage.
-func (e *Engine) flexCheckerIssue(budget *int) {
-	w := &e.w
-	issued := 0
-	for e.checkCount < e.robM.len() {
-		s := e.robM.at(e.checkCount)
-		if !w.completed(s, e.now) {
-			return
-		}
-		if !e.flexOn(w.seq[s]) {
-			w.flags[s] |= fCheckIssued
-			w.checkedAt[s] = e.now
-			e.checkCount++
-			e.progressed = true
-			continue
-		}
-		if issued >= e.cfg.CheckerWindow || *budget <= 0 {
-			return
-		}
-		done, ok := e.pool.TryIssue(e.now, checkOp(w.inst[s].Class))
-		if !ok {
-			return
-		}
-		w.flags[s] |= fCheckIssued
-		w.checkedAt[s] = done
-		e.schedule(done)
-		e.checkCount++
-		e.progressed = true
-		*budget--
-		issued++
-		e.stats.IssuedChecker++
-	}
-}
-
-// retireFlex retires one FLEX instruction. In-region instructions carry
-// SHREC's guarantee — a corrupted result is caught by the checker compare
-// and raises a soft exception. Out-of-region instructions were never
-// verified: a corrupted result escapes to architectural state, counted as
-// a silent corruption (and visible in the ArchSig divergence), which is
-// precisely the conditional-coverage story campaigns account for.
-func (e *Engine) retireFlex(budget *int) bool {
-	if e.robM.empty() {
-		return false
-	}
-	w := &e.w
-	s := e.robM.front()
-	if !w.completed(s, e.now) || w.flags[s]&fCheckIssued == 0 || !w.checked(s, e.now) {
-		return false
-	}
-	if w.flags[s]&fWrongPath != 0 {
-		panic("core: wrong-path instruction reached FLEX retirement")
-	}
-	if w.flags[s]&fFaulty != 0 {
-		if e.flexOn(w.seq[s]) {
-			e.recordDetection(s, -1)
-			e.softException()
-			return false
-		}
-		e.stats.SilentCorruptions++
-	}
-	if !e.commitStore(s) {
-		return false
-	}
-	if e.flexOn(w.seq[s]) {
-		e.stats.FlexOnRetired++
-	}
-	e.finishRetire(s)
-	e.robM.pop()
-	e.checkCount--
-	w.freeHead(s)
-	e.stats.Retired++
-	*budget--
-	return true
 }

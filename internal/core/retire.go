@@ -7,14 +7,9 @@ import (
 )
 
 // retire commits instructions in program order, up to the configured
-// retirement width per cycle.
-//
-//   - SS1 retires each completed instruction at the ROB head.
-//   - SS2 retires a pair per program instruction, comparing the redundant
-//     results: both copies must be completed, and together they consume
-//     two retirement slots (the B-factor contention).
-//   - SHREC retires an instruction only after the in-order checker has
-//     verified it.
+// retirement width per cycle. SS2 retires a pair per program instruction
+// (retirePair); every other mode retires the M ROB head through the one
+// verify-before-retire contract of retireHead.
 //
 // Stores commit to the data cache at retirement and need a memory port; a
 // busy port stalls retirement for the cycle. A detected fault raises a
@@ -28,50 +23,52 @@ func (e *Engine) retire() {
 		if e.retireStop != 0 && e.stats.Retired >= e.retireStop {
 			return
 		}
-		switch e.cfg.Mode {
-		case config.ModeSS2:
-			if !e.retirePair(&budget) {
-				return
-			}
-		case config.ModeSHREC, config.ModeMEEK:
-			// MEEK shares SHREC's retirement contract: the head retires
-			// only once verified (fCheckIssued + checked), with a compare
-			// mismatch raising a soft exception — only the verifying agent
-			// differs (checker lanes fed by the retirement log).
-			if !e.retireChecked(&budget) {
-				return
-			}
-		case config.ModeFLEX:
-			if !e.retireFlex(&budget) {
-				return
-			}
-		case config.ModeO3RS:
-			if !e.retireDouble(&budget) {
-				return
-			}
-		default:
-			if !e.retireSingle(&budget) {
-				return
-			}
+		var ok bool
+		if e.cfg.Mode == config.ModeSS2 {
+			ok = e.retirePair(&budget)
+		} else {
+			ok = e.retireHead(&budget)
+		}
+		if !ok {
+			return
 		}
 	}
 }
 
-// retireDouble retires one O3RS instruction: both executions must have
-// completed, and their results are compared in program order.
-func (e *Engine) retireDouble(budget *int) bool {
+// retireHead retires the instruction at the M ROB head for SS1, SHREC,
+// DIVA, MEEK, FLEX and O3RS; it returns false when retirement must stop
+// for this cycle. The mode supplies only three things:
+//
+//   - readiness: the head has completed; the checker modes (SHREC, DIVA,
+//     MEEK, FLEX) also need its check issued and finished, and O3RS its
+//     second execution complete.
+//   - verification: a faulty head that was verified (the checker's
+//     recomputed result, or O3RS's second execution, mismatches) raises a
+//     soft exception. SS1 verifies nothing and FLEX only inside
+//     checking-enabled regions; an unverified faulty head escapes to
+//     architectural state and counts as a silent corruption once it has
+//     committed, so a store waiting for a port counts once.
+//   - bookkeeping: the checker modes release the head from the
+//     check-issued prefix, and FLEX counts its in-region retirements.
+func (e *Engine) retireHead(budget *int) bool {
 	if e.robM.empty() {
 		return false
 	}
 	w := &e.w
 	s := e.robM.front()
-	if !w.completed(s, e.now) || w.flags[s]&fIssued2 == 0 || w.complete2At[s] > e.now {
+	mode := e.cfg.Mode
+	checks := mode == config.ModeSHREC || mode == config.ModeMEEK || mode == config.ModeFLEX
+	if !w.completed(s, e.now) ||
+		checks && (w.flags[s]&fCheckIssued == 0 || !w.checked(s, e.now)) ||
+		mode == config.ModeO3RS && (w.flags[s]&fIssued2 == 0 || w.complete2At[s] > e.now) {
 		return false
 	}
 	if w.flags[s]&fWrongPath != 0 {
-		panic(fmt.Sprintf("core: wrong-path instruction reached O3RS retirement (seq %d)", w.seq[s]))
+		panic(fmt.Sprintf("core: wrong-path instruction reached %s retirement (seq %d)", mode, w.seq[s]))
 	}
-	if w.flags[s]&(fFaulty|fFaulty2) != 0 {
+	verified := mode != config.ModeSS1 && (mode != config.ModeFLEX || e.flexOn(w.seq[s]))
+	faulty := w.flags[s]&(fFaulty|fFaulty2) != 0
+	if faulty && verified {
 		e.recordDetection(s, -1)
 		e.softException()
 		return false
@@ -79,34 +76,14 @@ func (e *Engine) retireDouble(budget *int) bool {
 	if !e.commitStore(s) {
 		return false
 	}
-	e.finishRetire(s)
-	e.robM.pop()
-	w.freeHead(s)
-	e.stats.Retired++
-	*budget--
-	return true
-}
-
-// retireSingle retires one SS1 instruction; it returns false when
-// retirement must stop for this cycle.
-func (e *Engine) retireSingle(budget *int) bool {
-	if e.robM.empty() {
-		return false
-	}
-	w := &e.w
-	s := e.robM.front()
-	if !w.completed(s, e.now) {
-		return false
-	}
-	if w.flags[s]&fWrongPath != 0 {
-		panic(fmt.Sprintf("core: wrong-path instruction reached retirement (seq %d)", w.seq[s]))
-	}
-	if !e.commitStore(s) {
-		return false
-	}
-	if w.flags[s]&fFaulty != 0 {
-		// SS1 has no redundancy: the corruption escapes silently.
+	if faulty {
 		e.stats.SilentCorruptions++
+	}
+	if checks {
+		e.checkCount--
+	}
+	if mode == config.ModeFLEX && verified {
+		e.stats.FlexOnRetired++
 	}
 	e.finishRetire(s)
 	e.robM.pop()
@@ -153,38 +130,6 @@ func (e *Engine) retirePair(budget *int) bool {
 	w.freeHead(r)
 	e.stats.Retired++
 	*budget -= 2
-	return true
-}
-
-// retireChecked retires one SHREC instruction after verification.
-func (e *Engine) retireChecked(budget *int) bool {
-	if e.robM.empty() {
-		return false
-	}
-	w := &e.w
-	s := e.robM.front()
-	if !w.completed(s, e.now) || w.flags[s]&fCheckIssued == 0 || !w.checked(s, e.now) {
-		return false
-	}
-	if w.flags[s]&fWrongPath != 0 {
-		panic(fmt.Sprintf("core: wrong-path instruction reached SHREC retirement (seq %d)", w.seq[s]))
-	}
-	// The checker's recomputed result is compared against the result
-	// buffer; a mismatch means the main execution was corrupted.
-	if w.flags[s]&fFaulty != 0 {
-		e.recordDetection(s, -1)
-		e.softException()
-		return false
-	}
-	if !e.commitStore(s) {
-		return false
-	}
-	e.finishRetire(s)
-	e.robM.pop()
-	e.checkCount--
-	w.freeHead(s)
-	e.stats.Retired++
-	*budget--
 	return true
 }
 

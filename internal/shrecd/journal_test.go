@@ -57,6 +57,26 @@ func waitCampaignDone(t *testing.T, s *Server, id string, within time.Duration) 
 	}
 }
 
+// waitJournalState polls the journal entry of job (kind, id) until its
+// state reads want. A job publishes its final state before the server
+// journals it, so a test that has just seen the state must wait for the
+// record rather than read it once.
+func waitJournalState(t *testing.T, js *store.Store, kind, id, want string, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		var e journalEntry
+		ok, err := js.Get(journalKey(kind, id), &e)
+		if err == nil && ok && e.State == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("journal entry %s/%s: ok=%v err=%v state=%q, want %q", kind, id, ok, err, e.State, want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestCrashRejoinResumesCampaign is the in-process kill-and-rejoin
 // acceptance test: a campaign killed mid-run (the server closed between
 // two trial writes, exactly what kill -9 leaves behind: a pending
@@ -173,10 +193,7 @@ func TestCrashRejoinResumesCampaign(t *testing.T) {
 
 	// The journal settled the entry as done, and /metrics shows the
 	// recovery counters.
-	var e journalEntry
-	if ok, err := js2.Get(journalKey("campaign", started.ID), &e); err != nil || !ok || e.State != journalDone {
-		t.Fatalf("journal entry after recovery: ok=%v err=%v state=%q", ok, err, e.State)
-	}
+	waitJournalState(t, js2, "campaign", started.ID, journalDone, 10*time.Second)
 	if d := s2.journal.depth(); d != 0 {
 		t.Fatalf("journal depth after recovery = %d, want 0", d)
 	}
@@ -258,6 +275,8 @@ func TestReplayStartsJobsAcceptedButNeverRun(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	waitJournalState(t, js, "campaign", cid, journalDone, 10*time.Second)
+	waitJournalState(t, js, "exploration", eid, journalDone, 10*time.Second)
 	if d := j.depth(); d != 0 {
 		t.Fatalf("journal depth = %d, want 0 after both jobs finished", d)
 	}
@@ -391,12 +410,10 @@ func TestWatchdogFailsWedgedJob(t *testing.T) {
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
+			// The watchdog counts the kill before it journals it.
+			waitJournalState(t, js, tc.kind, path.Base(url), journalFailed, time.Until(deadline))
 			if got := s.jobsWedged.Load(); got != 1 {
 				t.Fatalf("jobs_wedged = %d, want 1", got)
-			}
-			var e journalEntry
-			if ok, _ := js.Get(journalKey(tc.kind, path.Base(url)), &e); !ok || e.State != journalFailed {
-				t.Fatalf("wedged job journal state %q, want failed", e.State)
 			}
 			// A late completion racing the watchdog must not flip the outcome.
 			if finishLate() {
