@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full race bench bench-cycle bench-http bench-baseline bench-gate fmt vet perfbench-vet examples cli-smoke engine-identity crash-test obs-smoke docs docs-check ci
+.PHONY: build test test-full race bench bench-cycle bench-http bench-ckpt bench-baseline bench-gate fmt vet perfbench-vet examples cli-smoke engine-identity fuzz-smoke crash-test obs-smoke docs docs-check ci
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,14 @@ bench-cycle:
 # second. Record-only: no baseline entry or gate.
 bench-http:
 	$(GO) test -json -bench='^BenchmarkSimulateHit$$' -benchtime=20000x -run='^$$' ./internal/shrecd/
+
+# Checkpoint layer of the recovery path: capture, spawn and in-place
+# rollback of a SHREC engine warmed for 16k crafty instructions, at a
+# fixed iteration count, as test2json lines. One operation is well under
+# a millisecond, so 2000 iterations of each run in a few seconds.
+# Record-only: no baseline entry or gate.
+bench-ckpt:
+	$(GO) test -json -bench='^BenchmarkCheckpoint$$' -benchtime=2000x -run='^$$' ./internal/core/
 
 # Regenerate the committed benchmark baseline: the Cycle micro-benchmark
 # at fixed iterations plus the 1x smoke pass over every benchmark
@@ -127,6 +135,13 @@ cli-smoke:
 engine-identity:
 	$(GO) test -count=1 -run 'TestFastForwardEquivalence|TestConformance' ./internal/core/
 
+# Fuzz smoke: each native fuzz target for 10 s (go test -fuzz runs one
+# target in one package at a time): the machine-spec grammar's round trip
+# and the recovery-mode grammar's.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzSpecRoundTrip$$' -fuzztime=10s ./internal/config/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseMode$$' -fuzztime=10s ./internal/recovery/
+
 # Crash-recovery acceptance: SIGKILL a real shrecd mid-campaign and
 # assert the restarted server re-adopts the journaled job and finishes
 # it with the same results; then the store corruption/chaos suites, the
@@ -148,4 +163,4 @@ obs-smoke:
 	$(GO) test -count=1 -run 'TestMetrics' ./internal/shrecd/
 	$(GO) test -count=1 -run 'TestLint|TestRenderPassesLint' ./internal/telemetry/
 
-ci: build vet perfbench-vet fmt test engine-identity examples cli-smoke docs-check
+ci: build vet perfbench-vet fmt test engine-identity fuzz-smoke examples cli-smoke docs-check

@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -346,5 +347,58 @@ func BenchmarkBTB(b *testing.B) {
 		if _, ok := btb.Lookup(pc); !ok {
 			btb.Insert(pc, pc+16)
 		}
+	}
+}
+
+// btbOps applies n random lookups and inserts over a small PC range (so
+// sets conflict and evict) and returns every lookup's target and hit flag.
+func btbOps(b *BTB, seed uint64, n int) []uint64 {
+	r := rng.New(seed)
+	var out []uint64
+	for i := 0; i < n; i++ {
+		pc := uint64(r.Intn(256)) << 2
+		if r.Intn(2) == 0 {
+			tgt, ok := b.Lookup(pc)
+			hit := uint64(0)
+			if ok {
+				hit = 1
+			}
+			out = append(out, pc, tgt, hit)
+		} else {
+			b.Insert(pc, r.Uint64())
+		}
+	}
+	return out
+}
+
+// TestBTBCloneIsIndependent warms two BTBs identically, clones one and
+// churns the clone, then requires the original to answer every later
+// lookup — LRU victim choice included, since an evicted entry misses —
+// exactly as the untouched twin does.
+func TestBTBCloneIsIndependent(t *testing.T) {
+	orig, twin := NewBTB(16, 4), NewBTB(16, 4)
+	btbOps(orig, 1, 500)
+	btbOps(twin, 1, 500)
+
+	clone := orig.Clone()
+	if got, want := btbOps(clone.Clone(), 2, 500), btbOps(twin.Clone(), 2, 500); !reflect.DeepEqual(got, want) {
+		t.Fatal("a clone answers differently from the BTB it copied")
+	}
+	btbOps(clone, 3, 2000)
+
+	if got, want := btbOps(orig, 4, 1000), btbOps(twin, 4, 1000); !reflect.DeepEqual(got, want) {
+		t.Fatal("mutating a clone changed the original's answers")
+	}
+	if orig.HitRate() != twin.HitRate() {
+		t.Fatalf("original hit rate %v != twin %v", orig.HitRate(), twin.HitRate())
+	}
+}
+
+// TestBTBCloneAllocs pins the flat layout: a clone is the struct plus one
+// allocation per table, whatever the set count.
+func TestBTBCloneAllocs(t *testing.T) {
+	b := NewBTB(512, 4)
+	if n := testing.AllocsPerRun(10, func() { _ = b.Clone() }); n > 4 {
+		t.Fatalf("Clone made %.0f allocations, want at most 4", n)
 	}
 }

@@ -5,13 +5,14 @@ package bpred
 // taken but misses in the BTB cannot redirect in the same cycle and pays a
 // fetch bubble.
 type BTB struct {
-	sets     int
 	ways     int
 	setMask  uint64
 	setShift uint
-	tags     [][]uint64 // tag per way; 0 means invalid (tags are made nonzero)
-	targets  [][]uint64
-	lru      [][]uint8 // lower value = more recently used
+	// One flat sets*ways array per field, indexed set*ways+way, so a
+	// clone is one allocation and one copy per array.
+	tags    []uint64 // tag per way; 0 means invalid (tags are made nonzero)
+	targets []uint64
+	lru     []uint8 // lower value = more recently used
 
 	lookups uint64
 	hits    uint64
@@ -29,36 +30,36 @@ func NewBTB(sets, ways int) *BTB {
 	for 1<<shift < sets {
 		shift++
 	}
-	b := &BTB{sets: sets, ways: ways, setMask: uint64(sets - 1), setShift: shift}
-	b.tags = make([][]uint64, sets)
-	b.targets = make([][]uint64, sets)
-	b.lru = make([][]uint8, sets)
-	for i := 0; i < sets; i++ {
-		b.tags[i] = make([]uint64, ways)
-		b.targets[i] = make([]uint64, ways)
-		b.lru[i] = make([]uint8, ways)
-		for w := 0; w < ways; w++ {
-			b.lru[i][w] = uint8(w)
-		}
+	b := &BTB{
+		ways:     ways,
+		setMask:  uint64(sets - 1),
+		setShift: shift,
+		tags:     make([]uint64, sets*ways),
+		targets:  make([]uint64, sets*ways),
+		lru:      make([]uint8, sets*ways),
+	}
+	for i := range b.lru {
+		b.lru[i] = uint8(i % ways)
 	}
 	return b
 }
 
-func (b *BTB) split(pc uint64) (set uint64, tag uint64) {
+// split returns the flat index of pc's set's way 0 and pc's tag.
+func (b *BTB) split(pc uint64) (base int, tag uint64) {
 	idx := pcIndex(pc)
 	// Tag is made nonzero so the zero value marks an invalid way.
-	return idx & b.setMask, (idx >> b.setShift) | 1<<63
+	return int(idx&b.setMask) * b.ways, (idx >> b.setShift) | 1<<63
 }
 
 // Lookup returns the predicted target for pc and whether it hit.
 func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
 	b.lookups++
-	set, tag := b.split(pc)
-	for w := 0; w < b.ways; w++ {
-		if b.tags[set][w] == tag {
+	base, tag := b.split(pc)
+	for w, t := range b.tags[base : base+b.ways] {
+		if t == tag {
 			b.hits++
-			b.touch(set, w)
-			return b.targets[set][w], true
+			b.touch(base, w)
+			return b.targets[base+w], true
 		}
 	}
 	return 0, false
@@ -67,45 +68,43 @@ func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
 // Insert records or updates the target for pc, evicting the LRU way on a
 // conflict.
 func (b *BTB) Insert(pc, target uint64) {
-	set, tag := b.split(pc)
+	base, tag := b.split(pc)
+	lru := b.lru[base : base+b.ways]
 	victim := 0
-	for w := 0; w < b.ways; w++ {
-		if b.tags[set][w] == tag {
-			b.targets[set][w] = target
-			b.touch(set, w)
+	for w, t := range b.tags[base : base+b.ways] {
+		if t == tag {
+			b.targets[base+w] = target
+			b.touch(base, w)
 			return
 		}
-		if b.lru[set][w] > b.lru[set][victim] {
+		if lru[w] > lru[victim] {
 			victim = w
 		}
 	}
-	b.tags[set][victim] = tag
-	b.targets[set][victim] = target
-	b.touch(set, victim)
+	b.tags[base+victim] = tag
+	b.targets[base+victim] = target
+	b.touch(base, victim)
 }
 
-// touch marks way w in set as most recently used.
-func (b *BTB) touch(set uint64, w int) {
-	old := b.lru[set][w]
-	for i := 0; i < b.ways; i++ {
-		if b.lru[set][i] < old {
-			b.lru[set][i]++
+// touch marks way w of the set starting at flat index base as most
+// recently used.
+func (b *BTB) touch(base, w int) {
+	lru := b.lru[base : base+b.ways]
+	old := lru[w]
+	for i, r := range lru {
+		if r < old {
+			lru[i]++
 		}
 	}
-	b.lru[set][w] = 0
+	lru[w] = 0
 }
 
 // Clone returns a deep copy of the BTB's tags, targets, and LRU state.
 func (b *BTB) Clone() *BTB {
 	c := *b
-	c.tags = make([][]uint64, b.sets)
-	c.targets = make([][]uint64, b.sets)
-	c.lru = make([][]uint8, b.sets)
-	for i := 0; i < b.sets; i++ {
-		c.tags[i] = append([]uint64(nil), b.tags[i]...)
-		c.targets[i] = append([]uint64(nil), b.targets[i]...)
-		c.lru[i] = append([]uint8(nil), b.lru[i]...)
-	}
+	c.tags = append([]uint64(nil), b.tags...)
+	c.targets = append([]uint64(nil), b.targets...)
+	c.lru = append([]uint8(nil), b.lru...)
 	return &c
 }
 

@@ -17,15 +17,17 @@ import "fmt"
 // It tracks hit/miss statistics; timing is composed by Hierarchy.
 type Cache struct {
 	name     string
-	sets     int
 	ways     int
 	lineBits uint
 	setMask  uint64
 	setShift uint
 
-	tags  [][]uint64 // 0 = invalid (tags are forced nonzero)
-	lru   [][]uint8
-	dirty [][]bool
+	// One flat sets*ways array per field, indexed set*ways+way: a clone
+	// is one allocation and one copy per array, and none holds a
+	// pointer for the GC to scan.
+	tags  []uint64 // 0 = invalid (tags are forced nonzero)
+	lru   []uint8
+	dirty []bool
 
 	accesses  uint64
 	misses    uint64
@@ -59,22 +61,16 @@ func NewCache(name string, size, assoc, lineSize int) *Cache {
 	}
 	c := &Cache{
 		name:     name,
-		sets:     sets,
 		ways:     assoc,
 		lineBits: lineBits,
 		setMask:  uint64(sets - 1),
 		setShift: setShift,
 	}
-	c.tags = make([][]uint64, sets)
-	c.lru = make([][]uint8, sets)
-	c.dirty = make([][]bool, sets)
-	for i := 0; i < sets; i++ {
-		c.tags[i] = make([]uint64, assoc)
-		c.lru[i] = make([]uint8, assoc)
-		c.dirty[i] = make([]bool, assoc)
-		for w := 0; w < assoc; w++ {
-			c.lru[i][w] = uint8(w)
-		}
+	c.tags = make([]uint64, sets*assoc)
+	c.lru = make([]uint8, sets*assoc)
+	c.dirty = make([]bool, sets*assoc)
+	for i := range c.lru {
+		c.lru[i] = uint8(i % assoc)
 	}
 	return c
 }
@@ -87,16 +83,20 @@ func (c *Cache) split(addr uint64) (set uint64, tag uint64) {
 	return line & c.setMask, (line >> c.setShift) | 1<<63
 }
 
+// base returns the index of set's way 0 in the flat arrays.
+func (c *Cache) base(set uint64) int { return int(set) * c.ways }
+
 // Lookup probes the cache without filling. It updates LRU state and the
 // hit/miss statistics.
 func (c *Cache) Lookup(addr uint64, write bool) bool {
 	c.accesses++
 	set, tag := c.split(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[set][w] == tag {
-			c.touch(set, w)
+	b := c.base(set)
+	for w, t := range c.tags[b : b+c.ways] {
+		if t == tag {
+			c.touch(b, w)
 			if write {
-				c.dirty[set][w] = true
+				c.dirty[b+w] = true
 			}
 			return true
 		}
@@ -109,8 +109,9 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 // statistics. Used by tests and by the hierarchy's inclusion checks.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.split(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[set][w] == tag {
+	b := c.base(set)
+	for _, t := range c.tags[b : b+c.ways] {
+		if t == tag {
 			return true
 		}
 	}
@@ -122,30 +123,31 @@ func (c *Cache) Probe(addr uint64) bool {
 // dirtyOnly) line occurred.
 func (c *Cache) Fill(addr uint64, write bool) (victim uint64, dirtyEvict bool) {
 	set, tag := c.split(addr)
+	b := c.base(set)
+	lru := c.lru[b : b+c.ways]
 	victimWay := 0
-	for w := 0; w < c.ways; w++ {
-		if c.tags[set][w] == tag {
+	for w, t := range c.tags[b : b+c.ways] {
+		if t == tag {
 			// Already present (raced fills are benign).
-			c.touch(set, w)
+			c.touch(b, w)
 			if write {
-				c.dirty[set][w] = true
+				c.dirty[b+w] = true
 			}
 			return 0, false
 		}
-		if c.lru[set][w] > c.lru[set][victimWay] {
+		if lru[w] > lru[victimWay] {
 			victimWay = w
 		}
 	}
-	oldTag := c.tags[set][victimWay]
-	wasDirty := c.dirty[set][victimWay]
-	if oldTag != 0 {
+	v := b + victimWay
+	if oldTag := c.tags[v]; oldTag != 0 {
 		c.evictions++
 		victim = c.reconstruct(set, oldTag)
-		dirtyEvict = wasDirty
+		dirtyEvict = c.dirty[v]
 	}
-	c.tags[set][victimWay] = tag
-	c.dirty[set][victimWay] = write
-	c.touch(set, victimWay)
+	c.tags[v] = tag
+	c.dirty[v] = write
+	c.touch(b, victimWay)
 	return victim, dirtyEvict
 }
 
@@ -155,28 +157,26 @@ func (c *Cache) reconstruct(set uint64, tag uint64) uint64 {
 	return line << c.lineBits
 }
 
-func (c *Cache) touch(set uint64, w int) {
-	old := c.lru[set][w]
-	for i := 0; i < c.ways; i++ {
-		if c.lru[set][i] < old {
-			c.lru[set][i]++
+// touch marks way w of the set starting at flat index b as most recently
+// used.
+func (c *Cache) touch(b, w int) {
+	lru := c.lru[b : b+c.ways]
+	old := lru[w]
+	for i, r := range lru {
+		if r < old {
+			lru[i]++
 		}
 	}
-	c.lru[set][w] = 0
+	lru[w] = 0
 }
 
 // Clone returns a deep copy of the cache's tags, LRU, dirty bits, and
 // counters (used by simulation checkpoints).
 func (c *Cache) Clone() *Cache {
 	out := *c
-	out.tags = make([][]uint64, c.sets)
-	out.lru = make([][]uint8, c.sets)
-	out.dirty = make([][]bool, c.sets)
-	for i := 0; i < c.sets; i++ {
-		out.tags[i] = append([]uint64(nil), c.tags[i]...)
-		out.lru[i] = append([]uint8(nil), c.lru[i]...)
-		out.dirty[i] = append([]bool(nil), c.dirty[i]...)
-	}
+	out.tags = append([]uint64(nil), c.tags...)
+	out.lru = append([]uint8(nil), c.lru...)
+	out.dirty = append([]bool(nil), c.dirty...)
 	return &out
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -367,5 +368,69 @@ func BenchmarkHierarchyLoad(b *testing.B) {
 		now := int64(i)
 		h.BeginCycle(now)
 		h.Load(now, uint64(r.Intn(1<<24)))
+	}
+}
+
+// cacheOps applies n random lookups and fills over 64 lines 512 bytes
+// apart (in a 16-set cache they share two sets, so fills evict) and
+// returns every answer: hit or miss, victim address, and dirty-eviction
+// flag.
+func cacheOps(c *Cache, seed uint64, n int) []uint64 {
+	r := rng.New(seed)
+	var out []uint64
+	for i := 0; i < n; i++ {
+		addr := uint64(r.Intn(64)) * 512
+		write := r.Intn(4) == 0
+		if r.Intn(2) == 0 {
+			hit := c.Lookup(addr, write)
+			out = append(out, addr, boolWord(hit), boolWord(c.Probe(addr)))
+		} else {
+			victim, dirty := c.Fill(addr, write)
+			out = append(out, addr, victim, boolWord(dirty))
+		}
+	}
+	return out
+}
+
+func boolWord(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestCacheCloneIsIndependent warms two caches identically, clones one
+// and churns the clone, then requires the original to answer every later
+// lookup, probe and fill — LRU victim choice and dirty bits included —
+// exactly as the untouched twin does.
+func TestCacheCloneIsIndependent(t *testing.T) {
+	orig := NewCache("t", 4096, 4, 64)
+	twin := NewCache("t", 4096, 4, 64)
+	cacheOps(orig, 1, 500)
+	cacheOps(twin, 1, 500)
+
+	clone := orig.Clone()
+	if got, want := cacheOps(clone.Clone(), 2, 500), cacheOps(twin.Clone(), 2, 500); !reflect.DeepEqual(got, want) {
+		t.Fatal("a clone answers differently from the cache it copied")
+	}
+	cacheOps(clone, 3, 2000)
+
+	if got, want := cacheOps(orig, 4, 1000), cacheOps(twin, 4, 1000); !reflect.DeepEqual(got, want) {
+		t.Fatal("mutating a clone changed the original's answers")
+	}
+	oa, om, oe := orig.Stats()
+	ta, tm, te := twin.Stats()
+	if oa != ta || om != tm || oe != te {
+		t.Fatalf("original stats (%d,%d,%d) != twin (%d,%d,%d)", oa, om, oe, ta, tm, te)
+	}
+}
+
+// TestCacheCloneAllocs pins the flat layout: a clone is the struct plus
+// one allocation per table, whatever the set count (the 2MB L2 has 8192
+// sets).
+func TestCacheCloneAllocs(t *testing.T) {
+	c := NewCache("L2", 2*1024*1024, 4, 64)
+	if n := testing.AllocsPerRun(10, func() { _ = c.Clone() }); n > 4 {
+		t.Fatalf("Clone made %.0f allocations, want at most 4", n)
 	}
 }

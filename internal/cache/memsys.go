@@ -141,17 +141,13 @@ func (h *Hierarchy) dataAccess(now int64, addr uint64, write bool) (readyAt int6
 	line := h.l1d.LineAddr(addr)
 
 	// An in-flight miss to this line? Merge into it.
-	if when, out := h.mshr.Outstanding(line); out {
-		res, merged := h.mshr.Request(line, 0)
-		switch res {
-		case MSHRMerged:
-			h.portsUsed++
-			_ = when
-			return merged, true
-		default: // target slots exhausted
+	if res, merged, found := h.mshr.merge(line); found {
+		if res == MSHRFull { // target slots exhausted
 			h.mshrRejects++
 			return 0, false
 		}
+		h.portsUsed++
+		return merged, true
 	}
 
 	if h.l1d.Lookup(addr, write) {
@@ -174,7 +170,7 @@ func (h *Hierarchy) dataAccess(now int64, addr uint64, write bool) (readyAt int6
 			h.busTransfer(fillReady)
 		}
 	}
-	res, ready := h.mshr.Request(line, fillReady)
+	res, ready := h.mshr.allocate(line, fillReady)
 	if res == MSHRFull {
 		h.mshrRejects++
 		return 0, false

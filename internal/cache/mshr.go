@@ -67,50 +67,72 @@ const (
 	MSHRFull
 )
 
-// Request asks for line lineAddr at cycle now; if a register is allocated
-// the miss will complete at readyAt. For merged requests the returned ready
-// cycle is the outstanding miss's completion. The caller supplies readyAt
-// only for primary allocations (it is ignored when merging).
+// Request asks for line lineAddr; if a register is allocated the miss
+// will complete at readyAt. For merged requests the returned ready cycle
+// is the outstanding miss's completion. The caller supplies readyAt only
+// for primary allocations (it is ignored when merging).
 func (m *MSHRFile) Request(lineAddr uint64, readyAt int64) (MSHRResult, int64) {
-	free := -1
+	if res, ready, found := m.merge(lineAddr); found {
+		return res, ready
+	}
+	return m.allocate(lineAddr, readyAt)
+}
+
+// merge adds a target to lineAddr's in-flight miss. found reports whether
+// one was in flight; if so, res is MSHRMerged with the miss's completion,
+// or MSHRFull when its target slots are exhausted.
+func (m *MSHRFile) merge(lineAddr uint64) (res MSHRResult, ready int64, found bool) {
+	s := m.find(lineAddr)
+	if s == nil {
+		return 0, 0, false
+	}
+	if s.targets >= m.targets {
+		m.targetFail++
+		return MSHRFull, 0, true
+	}
+	s.targets++
+	m.secondary++
+	return MSHRMerged, s.readyAt, true
+}
+
+// allocate takes the first free register for a primary miss on lineAddr
+// completing at readyAt; the caller has ruled out an in-flight miss to
+// the line.
+func (m *MSHRFile) allocate(lineAddr uint64, readyAt int64) (MSHRResult, int64) {
 	for i := range m.slots {
-		s := &m.slots[i]
-		if !s.used {
-			if free < 0 {
-				free = i
+		if s := &m.slots[i]; !s.used {
+			*s = mshrSlot{line: lineAddr, readyAt: readyAt, targets: 1, used: true}
+			m.inFlight++
+			if readyAt < m.minReady {
+				m.minReady = readyAt
 			}
-			continue
-		}
-		if s.line == lineAddr {
-			if s.targets >= m.targets {
-				m.targetFail++
-				return MSHRFull, 0
-			}
-			s.targets++
-			m.secondary++
-			return MSHRMerged, s.readyAt
+			m.primary++
+			return MSHRAllocated, readyAt
 		}
 	}
-	if free < 0 {
-		m.allocFail++
-		return MSHRFull, 0
+	m.allocFail++
+	return MSHRFull, 0
+}
+
+// find returns lineAddr's occupied register, or nil when it has no
+// in-flight miss.
+func (m *MSHRFile) find(lineAddr uint64) *mshrSlot {
+	if m.inFlight == 0 {
+		return nil
 	}
-	m.slots[free] = mshrSlot{line: lineAddr, readyAt: readyAt, targets: 1, used: true}
-	m.inFlight++
-	if readyAt < m.minReady {
-		m.minReady = readyAt
+	for i := range m.slots {
+		if s := &m.slots[i]; s.used && s.line == lineAddr {
+			return s
+		}
 	}
-	m.primary++
-	return MSHRAllocated, readyAt
+	return nil
 }
 
 // Outstanding reports whether lineAddr has an in-flight miss and when it
 // completes.
 func (m *MSHRFile) Outstanding(lineAddr uint64) (int64, bool) {
-	for i := range m.slots {
-		if s := &m.slots[i]; s.used && s.line == lineAddr {
-			return s.readyAt, true
-		}
+	if s := m.find(lineAddr); s != nil {
+		return s.readyAt, true
 	}
 	return 0, false
 }

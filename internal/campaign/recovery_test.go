@@ -18,6 +18,22 @@ func recoverySpec(trials int) Spec {
 	return spec
 }
 
+// TestRecoveryCampaignWarmsUpOnce pins that a recovery campaign simulates
+// its fault-free warmup once: the golden run builds the warmup checkpoint
+// and every trial resumes it, so a fresh suite counts one warmup share per
+// run.
+func TestRecoveryCampaignWarmsUpOnce(t *testing.T) {
+	sims := quickSuite()
+	spec := quickSpec("shrec", 4)
+	spec.Recovery = "ckpt@4k+depth2"
+	if _, err := New(sims).Run(context.Background(), spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := sims.Counters().WarmupShares; got != 5 {
+		t.Errorf("WarmupShares = %d, want 5 (the golden run and 4 trials)", got)
+	}
+}
+
 // TestRecoveryCampaign pins the end-to-end recovery path: trials carry
 // per-fault recovery outcomes, the summary aggregates them, and the
 // campaign reports availability and MTTF with confidence bounds.

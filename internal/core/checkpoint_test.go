@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // runTo drives the engine until its total retired count reaches n.
@@ -161,4 +162,69 @@ func TestCheckpointFaultReinjection(t *testing.T) {
 	if clone.Stats().FaultsInjected == 0 {
 		t.Error("no faults injected inside the window; test exercised nothing")
 	}
+}
+
+// warmSHREC returns a SHREC engine warmed for 16k crafty instructions,
+// the warmup checkpoint a recovery campaign's trials resume.
+func warmSHREC(tb testing.TB) *Engine {
+	tb.Helper()
+	p, err := workload.ByName("crafty")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := New(config.SHREC(), trace.New(p))
+	if err := e.WarmupContext(context.Background(), 16_000); err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// TestCheckpointAllocs bounds the heap objects one checkpoint copy makes:
+// recovery pays for a copy on every capture and rollback, and the cache
+// and BTB tables must copy in a few allocations however many sets they
+// have.
+func TestCheckpointAllocs(t *testing.T) {
+	e := warmSHREC(t)
+	var cp *Checkpoint
+	if n := testing.AllocsPerRun(5, func() {
+		var err error
+		if cp, err = e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 100 {
+		t.Errorf("Checkpoint made %.0f allocations, want at most 100", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { _ = cp.NewEngine() }); n > 100 {
+		t.Errorf("NewEngine made %.0f allocations, want at most 100", n)
+	}
+}
+
+// BenchmarkCheckpoint times the three checkpoint operations recovery runs
+// on a warmed SHREC engine: a capture, a spawn and an in-place rollback.
+func BenchmarkCheckpoint(b *testing.B) {
+	e := warmSHREC(b)
+	cp, err := e.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Checkpoint", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if cp, err = e.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("NewEngine", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e = cp.NewEngine()
+		}
+	})
+	b.Run("Restore", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e.Restore(cp)
+		}
+	})
 }

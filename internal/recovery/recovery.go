@@ -27,6 +27,7 @@ package recovery
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -223,7 +224,7 @@ func parseInterval(s string) (uint64, error) {
 		s, mul = s[:len(s)-1], 1024
 	}
 	n, err := strconv.ParseUint(s, 10, 64)
-	if err != nil || n == 0 {
+	if err != nil || n == 0 || n > math.MaxUint64/mul {
 		return 0, fmt.Errorf("bad checkpoint interval %q", s)
 	}
 	return n * mul, nil

@@ -77,21 +77,50 @@ func TestModeRoundTrip(t *testing.T) {
 // TestModeErrors pins rejection of malformed modes.
 func TestModeErrors(t *testing.T) {
 	for _, bad := range []string{
-		"rollback",               // unknown mode
-		"ckpt",                   // missing interval
-		"ckpt@",                  // empty interval
-		"ckpt@0",                 // zero interval
-		"ckpt@32",                // below config.MinCkptInterval
-		"ckpt@64x",               // bad suffix
-		"ckpt@64k+depth17",       // above config.MaxCkptDepth
-		"ckpt@64k+width2",        // unknown modifier
-		"ckpt@64k+depth2+depth3", // duplicate
-		"ckpt@64k+flush-1",       // negative cost
+		"rollback",                // unknown mode
+		"ckpt",                    // missing interval
+		"ckpt@",                   // empty interval
+		"ckpt@0",                  // zero interval
+		"ckpt@32",                 // below config.MinCkptInterval
+		"ckpt@64x",                // bad suffix
+		"ckpt@64k+depth17",        // above config.MaxCkptDepth
+		"ckpt@64k+width2",         // unknown modifier
+		"ckpt@64k+depth2+depth3",  // duplicate
+		"ckpt@64k+flush-1",        // negative cost
+		"ckpt@18014398509481984k", // 2^54 x 1024 wraps to zero
+		"ckpt@17592186044417m",    // 2^44+1 x 2^20 wraps to 2^20
 	} {
 		if _, err := recovery.ParseMode(bad); err == nil {
 			t.Errorf("ParseMode(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseMode pins the recovery grammar's decoder contract: any input
+// is rejected with an error or accepted, never a panic, and an accepted
+// policy's canonical String re-parses to the same policy.
+func FuzzParseMode(f *testing.F) {
+	f.Add("none")
+	f.Add("")
+	f.Add("ckpt@4k+depth2")
+	f.Add("CKPT@2M+restore256+depth4+flush16")
+	f.Add("ckpt@100")
+	f.Add("ckpt@64k+depth2+depth3")
+	f.Add("ckpt@18014398509481984k")
+	f.Add("ckpt@64k+flush-1")
+	f.Fuzz(func(t *testing.T, mode string) {
+		p, err := recovery.ParseMode(mode)
+		if err != nil {
+			return
+		}
+		back, err := recovery.ParseMode(p.String())
+		if err != nil {
+			t.Fatalf("accepted %q but canonical %q rejected: %v", mode, p.String(), err)
+		}
+		if back != p {
+			t.Fatalf("accepted %q as %+v but round trip via %q gave %+v", mode, p, p.String(), back)
+		}
+	})
 }
 
 // TestPolicyApply pins the machine-spec integration: an enabled policy

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -94,6 +95,73 @@ func TestRecoveryWarmupSharing(t *testing.T) {
 	if got := s.Counters().RecoveryRuns; got != 2 {
 		t.Errorf("RecoveryRuns = %d, want 2", got)
 	}
+}
+
+// TestRecoveryGoldenSharesWarmup pins that a recovery machine's
+// fault-free run — a recovery campaign's golden run — builds the warmup
+// checkpoint its trials then resume, and stays byte-identical to a cold
+// run doing so.
+func TestRecoveryGoldenSharesWarmup(t *testing.T) {
+	p, err := workload.ByName("parser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{WarmupInstrs: 4000, MeasureInstrs: 12000, Parallelism: 4}
+	s := NewSuite(opt)
+	ctx := context.Background()
+	golden := config.SHREC().WithCkptInterval(1024).WithCkptDepth(2)
+	warm, err := s.GetOpt(ctx, golden, p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := RunContext(ctx, golden, p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Stats != cold.Stats || warm.Hung != cold.Hung {
+		t.Errorf("checkpoint-resumed golden run diverged from cold run\nwarm: %+v\ncold: %+v",
+			warm.Stats, cold.Stats)
+	}
+	if !reflect.DeepEqual(warm.Recovery, cold.Recovery) {
+		t.Errorf("golden recovery traces diverged\nwarm: %+v\ncold: %+v", warm.Recovery, cold.Recovery)
+	}
+	machines := []config.Machine{golden, recoveryTrial(1), recoveryTrial(2)}
+	want := []Result{warm}
+	for _, m := range machines[1:] {
+		res, err := s.GetOpt(ctx, m, p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res)
+	}
+	checkShared := func(label string, s *Suite) {
+		t.Helper()
+		if got := s.Counters().WarmupShares; got != 3 {
+			t.Errorf("%s: WarmupShares = %d, want 3 (golden run and both trials)", label, got)
+		}
+		s.cpMu.Lock()
+		built := len(s.cps)
+		s.cpMu.Unlock()
+		if built != 1 {
+			t.Errorf("%s: %d warmup checkpoints built, want 1 shared by the golden run and its trials", label, built)
+		}
+	}
+	checkShared("sequential", s)
+
+	// The same runs at once on a fresh suite: whichever builds the
+	// checkpoint, the others wait for it, and no result changes.
+	s = NewSuite(opt)
+	got, err := s.Batch(ctx, machines, []trace.Profile{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range machines {
+		if got[i].Stats != want[i].Stats || !reflect.DeepEqual(got[i].Recovery, want[i].Recovery) {
+			t.Errorf("%s: concurrent run diverged from sequential\ngot:  %+v\nwant: %+v",
+				machines[i].Name, got[i].Stats, want[i].Stats)
+		}
+	}
+	checkShared("concurrent", s)
 }
 
 // TestRecoveryKeySemantics pins that trials differing only in recovery

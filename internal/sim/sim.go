@@ -667,17 +667,22 @@ func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, 
 	return res, nil
 }
 
-// simulate performs one underlying run, routing fault-campaign trials
-// through the shared warmup-checkpoint cache when that is provably
-// equivalent to a cold start, and everything else through RunContext.
+// simulate performs one underlying run, routing fault-campaign trials and
+// the fault-free golden runs of recovery machines through the shared
+// warmup-checkpoint cache when that is provably equivalent to a cold
+// start, and everything else through RunContext.
 func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
-	// Sharing is sound only for the classic contiguous path, with a warmup
-	// to share, for machines that inject faults (fault-free runs dedupe on
-	// the result key already), whose window cannot open during the warmup.
-	// FetchSeq runs ahead of the retired count, so the precise bound is
-	// rechecked against the built checkpoint below.
-	if opt.intervalCount() == 1 && opt.WarmupInstrs > 0 &&
-		m.FaultRate > 0 && m.FaultWindowLo >= opt.WarmupInstrs {
+	// Sharing is sound only for the classic contiguous path with a warmup
+	// to share. It applies to machines that inject faults, whose window
+	// cannot open during the warmup (FetchSeq runs ahead of the retired
+	// count, so the precise bound is rechecked against the built
+	// checkpoint below), and to fault-free machines with a checkpoint
+	// interval: that is a recovery campaign's golden run, which then
+	// builds the checkpoint its trials resume. Other fault-free machines
+	// go cold, so a plain sweep pins no checkpoint for the suite's life.
+	faultTrial := m.FaultRate > 0 && m.FaultWindowLo >= opt.WarmupInstrs
+	recoveryGolden := m.FaultRate == 0 && m.CkptInterval > 0
+	if opt.intervalCount() == 1 && opt.WarmupInstrs > 0 && (faultTrial || recoveryGolden) {
 		if res, ok, err := s.runFromWarmup(ctx, m, p, opt); err != nil || ok {
 			return res, err
 		}
@@ -688,9 +693,9 @@ func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile,
 	return res, err
 }
 
-// runFromWarmup serves one fault trial from the shared warmup checkpoint.
-// ok reports whether sharing applied; on ok == false (checkpoint build
-// failed, or its fetch frontier already overlaps the fault window) the
+// runFromWarmup serves one run from the shared warmup checkpoint. ok
+// reports whether sharing applied; on ok == false (checkpoint build
+// failed, or its fetch frontier already overlaps a fault window) the
 // caller falls back to a cold run.
 func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, bool, error) {
 	if err := m.Validate(); err != nil {
@@ -698,8 +703,9 @@ func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Pro
 	}
 	// The warmup is fault-free and checkpoint-free regardless of the trial's
 	// injection and recovery settings, and the display name tracks those
-	// settings — zero all three so one warmup checkpoint serves every trial
-	// and every recovery policy over the same base machine.
+	// settings — zero all three so one warmup checkpoint serves every trial,
+	// every recovery policy and the recovery golden run over the same base
+	// machine.
 	base := m
 	base.Name = ""
 	base.FaultRate, base.FaultSeed = 0, 0
@@ -735,7 +741,7 @@ func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Pro
 		s.cpMu.Unlock()
 		return Result{}, false, nil
 	}
-	if m.FaultWindowLo < entry.cp.FetchSeq() {
+	if m.FaultRate > 0 && m.FaultWindowLo < entry.cp.FetchSeq() {
 		return Result{}, false, nil
 	}
 	s.observeStage(ctx, "warmup_share", share)
