@@ -146,12 +146,16 @@ fuzz-smoke:
 # assert the restarted server re-adopts the journaled job and finishes
 # it with the same results; then the store corruption/chaos suites, the
 # in-process kill-rejoin/shedding/watchdog suites, and the Remote client
-# (the retrying, polling half of recovery) under -race.
+# (the retrying, polling half of recovery) under -race; then campaign and
+# exploration kill-and-resume, which fan out through the suite's store
+# hits, also under -race.
 crash-test:
 	$(GO) test -count=1 -run 'TestCrashRecoverySIGKILL' -v ./cmd/shrecd/
 	$(GO) test -race -count=1 -run 'TestChaos|TestPutRollback|TestOpenRejectsRegularFile|TestReopenPersists|TestCompaction|TestSyncAlways' ./internal/store/
 	$(GO) test -race -count=1 -run 'TestCrashRejoin|TestReplay|TestShedding|TestWatchdog' ./internal/shrecd/
 	$(GO) test -race -count=1 -run 'TestRemote' .
+	$(GO) test -race -count=1 -run 'TestCampaignResume|TestCampaignCancellation|TestRecoveryCampaignKillAndResume|TestCampaignOneRecordPerSimulation|TestCampaignIdentityAcrossResumeAndParallelism' ./internal/campaign/
+	$(GO) test -race -count=1 -run 'TestExploreResume|TestStrategiesShareEvaluations|TestTrialsIgnoredByUnfaultedKeys' ./internal/explore/
 
 # Observability smoke: run the real shrecd binary with -pprof, drive a
 # tiny campaign through it, and assert the telemetry surface end to end

@@ -97,7 +97,6 @@ func main() {
 	}
 	opt.Parallelism = *par
 
-	sims := sim.NewSuite(opt)
 	var st *store.Store
 	if *storePath != "" {
 		var err error
@@ -107,7 +106,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer st.Close()
-		sims.WithStore(st)
 		logger.Info("result store opened", "path", *storePath, "results", st.Len())
 	}
 	var journal *store.Store
@@ -123,7 +121,7 @@ func main() {
 		defer journal.Close()
 	}
 
-	srv := shrecd.NewWith(shrecd.Config{
+	srv := shrecd.New(shrecd.Config{
 		DefaultOptions: opt,
 		MaxConcurrent:  *workers,
 		MaxInstrs:      *maxInstrs,
@@ -135,7 +133,7 @@ func main() {
 		ShedAfter:      *shed,
 		Logger:         logger,
 		EnablePprof:    *pprofOn,
-	}, sims)
+	})
 	defer srv.Close() // stop background campaigns; finished trials are persisted
 
 	httpSrv := &http.Server{

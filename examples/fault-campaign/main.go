@@ -9,9 +9,10 @@
 // golden run: detected, squashed-benign, masked, silent data corruption
 // (architectural-signature divergence), or hang (cycle-budget watchdog).
 //
-// The campaign persists per-trial results to a store, so interrupting and
-// re-running this example resumes instead of re-simulating: the second
-// run prints "resumed 120 of 120".
+// The client's store keeps one record per simulation — the golden run and
+// each trial — so interrupting and re-running this example resumes
+// instead of re-simulating: every finished trial is a store hit, and the
+// second run prints "resumed 120 of 120".
 //
 //	go run ./examples/fault-campaign [benchmark]
 package main

@@ -12,9 +12,10 @@
 // one-eighth run length and re-evaluates only the surviving half at full
 // fidelity.
 //
-// Evaluations persist to a store, so interrupting and re-running this
-// example resumes instead of re-evaluating: the second run prints
-// "resumed" evaluations in the report notes.
+// The simulations behind every evaluation persist to a store, so
+// interrupting and re-running this example resumes instead of
+// re-simulating: the second run prints "resumed" evaluations in the
+// report notes.
 //
 //	go run ./examples/pareto-explore [benchmark]
 package main

@@ -22,12 +22,12 @@
 //   - clean:     the Bernoulli injector never fired in the window
 //
 // Trials fan out through the shared sim.Suite, so they parallelize under
-// its semaphore, deduplicate via singleflight, and (with a store
-// attached) persist across processes. The campaign additionally persists
-// one compact Trial record per finished trial, keyed by the campaign's
-// content digest — a killed campaign picks up where it left off without
-// re-simulating finished trials, and Result.Resumed counts exactly how
-// many trials were restored rather than run.
+// its semaphore, deduplicate via singleflight, and (with a store attached
+// to the suite) persist across processes as ordinary simulation results.
+// A trial is a pure function of its machine, workload and options, so a
+// killed campaign rerun over the same store picks up where it left off:
+// every finished trial is a store hit, and Result.Resumed counts exactly
+// how many trials were served without simulating.
 package campaign
 
 import (
@@ -43,7 +43,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -168,8 +167,9 @@ func TrialSeed(seed uint64, trial int) uint64 {
 	return rng.New(seed).Fork(uint64(trial) + 1).Uint64()
 }
 
-// Trial is the compact per-trial record a campaign aggregates and
-// persists (one store entry per trial, keyed by campaign digest + index).
+// Trial is the compact per-trial record a campaign aggregates, derived
+// from the trial's simulation result (which the suite caches and
+// persists).
 type Trial struct {
 	// Index is the trial's position in the campaign ([0, Trials)).
 	Index int `json:"index"`
@@ -274,13 +274,14 @@ func (c Counts) coverage() Estimate {
 }
 
 // Progress is a running campaign snapshot, delivered to the progress
-// callback after every finished trial (and once for the resumed batch).
+// callback after every finished trial, resumed ones included.
 type Progress struct {
 	// Done counts finished trials (resumed included); Total is the
 	// campaign's trial count.
 	Done  int `json:"done"`
 	Total int `json:"total"`
-	// Resumed counts trials restored from the store instead of run.
+	// Resumed counts finished trials served from the suite's cache or
+	// store instead of simulated.
 	Resumed int `json:"resumed"`
 	// Counts tallies finished trials per outcome class.
 	Counts Counts `json:"counts"`
@@ -298,8 +299,8 @@ type Result struct {
 	MaxCycles int64 `json:"max_cycles"`
 	// Trials holds every trial record, ordered by index.
 	Trials []Trial `json:"trials"`
-	// Resumed counts trials restored from the persistent store; Executed
-	// counts trials actually simulated by this run. They sum to
+	// Resumed counts trials served from the suite's cache or store;
+	// Executed counts trials actually simulated by this run. They sum to
 	// len(Trials), which is how resumption is verified.
 	Resumed  int `json:"resumed"`
 	Executed int `json:"executed"`
@@ -615,7 +616,7 @@ func (r *Result) Report() *report.Report {
 	rep.AddNote("coverage %.2f%% (Wilson 95%% CI [%.2f%%, %.2f%%]) over %d faulted trials; %d sdc, %d hangs",
 		100*cov.Point, 100*cov.Lo, 100*cov.Hi, cov.N, c.SDC, c.Hang)
 	if r.Resumed > 0 {
-		rep.AddNote("resumed %d of %d trials from the store (%d executed)",
+		rep.AddNote("resumed %d of %d trials from earlier simulations (%d executed)",
 			r.Resumed, total, r.Executed)
 	}
 
@@ -637,20 +638,12 @@ func (r *Result) Report() *report.Report {
 // cache and parallelism bound.
 type Engine struct {
 	sims *sim.Suite
-	st   *store.Store
 }
 
-// New builds a campaign engine over an existing simulation suite.
+// New builds a campaign engine over an existing simulation suite. With a
+// store attached to the suite, campaigns resume across processes.
 func New(sims *sim.Suite) *Engine {
 	return &Engine{sims: sims}
-}
-
-// WithStore attaches a persistent store for per-trial records: finished
-// trials are written through, and a later Run of the same spec restores
-// them instead of re-simulating. Returns e for chaining.
-func (e *Engine) WithStore(st *store.Store) *Engine {
-	e.st = st
-	return e
 }
 
 // Normalize validates spec the way Run will (machine and workload
@@ -667,8 +660,7 @@ func Normalize(spec Spec, def sim.Options) (Spec, error) {
 
 // normalize fills spec defaults from def and resolves the machine,
 // workload, and recovery policy (applying the policy's checkpoint fields
-// to the returned machine). The returned spec is what Result records and
-// what the campaign digest hashes.
+// to the returned machine). The returned spec is what Result records.
 func normalize(spec Spec, def sim.Options) (Spec, config.Machine, trace.Profile, recovery.Policy, error) {
 	fail := func(err error) (Spec, config.Machine, trace.Profile, recovery.Policy, error) {
 		return Spec{}, config.Machine{}, trace.Profile{}, recovery.Policy{}, err
@@ -736,25 +728,6 @@ func normalize(spec Spec, def sim.Options) (Spec, config.Machine, trace.Profile,
 	return spec, m, p, pol, nil
 }
 
-// digest is the campaign's content identity: the full machine
-// configuration and workload profile plus every spec field that shapes a
-// trial — but not the trial count, so extending a campaign from 500 to
-// 1000 trials reuses the first 500 stored records.
-// The schema label is v3: v1 records predate checkpoint recovery, v2
-// records predate the detection-mode zoo (the Trial schema grew
-// FaultsUnchecked, and the hashed machine grew the lane/context/region
-// fields).
-func digest(spec Spec, m config.Machine, p trace.Profile, budget int64) string {
-	return store.Digest("campaign.Trial.v3", m, p,
-		spec.FaultRate, spec.Seed, spec.WarmupInstrs, spec.MeasureInstrs,
-		spec.WindowLo, spec.WindowHi, budget)
-}
-
-// trialKey keys one trial record in the store.
-func trialKey(digest string, i int) string {
-	return fmt.Sprintf("%s/trial/%d", digest, i)
-}
-
 // fetchHorizon bounds how many correct-path fetch sequence numbers the
 // front end can consume beyond the current retirement count: a full ROB
 // of in-flight instructions, the retirement overshoot of the final
@@ -770,7 +743,8 @@ func fetchHorizon(m config.Machine) uint64 {
 // callback, when non-nil, is invoked serially after every finished trial
 // with a running snapshot; it must return quickly. On context
 // cancellation the campaign stops with an error, but every finished
-// trial has already been persisted, so a later Run resumes from it.
+// trial's result is already in the suite (and its store), so a later Run
+// resumes from it.
 func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*Result, error) {
 	ns, m, p, _, err := normalize(spec, e.sims.Options())
 	if err != nil {
@@ -798,41 +772,14 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 	}
 	ns.MaxCycles = budget
 
-	dg := digest(ns, m, p, budget)
 	res := &Result{Spec: ns, Golden: golden, MaxCycles: budget,
 		Trials: make([]Trial, ns.Trials)}
-	have := make([]bool, ns.Trials)
-	if e.st != nil {
-		for i := range res.Trials {
-			var tr Trial
-			if ok, err := e.st.Get(trialKey(dg, i), &tr); err == nil && ok {
-				res.Trials[i] = tr
-				have[i] = true
-				res.Resumed++
-			}
-		}
-	}
-
 	// Running progress state, shared by the trial goroutines.
 	var mu sync.Mutex
-	prog := Progress{Total: ns.Trials, Resumed: res.Resumed}
-	for i, tr := range res.Trials {
-		if have[i] {
-			prog.Done++
-			prog.Counts.add(tr.Outcome)
-		}
-	}
-	prog.Coverage = prog.Counts.coverage()
-	if progress != nil {
-		progress(prog)
-	}
-
+	prog := Progress{Total: ns.Trials}
 	var wg sync.WaitGroup
 	errs := make([]error, ns.Trials)
 	for i := range res.Trials {
-		if have[i] {
-			continue
-		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -844,53 +791,22 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 			topt := opt
 			topt.MaxCycles = budget
 			trialStart := time.Now()
-			r, err := e.sims.GetOpt(ctx, mc, p, topt)
+			r, ran, err := e.sims.Fetch(ctx, mc, p, topt)
 			if err != nil {
 				errs[i] = fmt.Errorf("trial %d: %w", i, err)
 				return
 			}
 			telemetry.SpanFrom(ctx).Record("trial", time.Since(trialStart))
-			tr := Trial{
-				Index:           i,
-				Seed:            mc.FaultSeed,
-				Outcome:         Classify(r, golden.Stats.ArchSig),
-				Faults:          r.Stats.FaultsInjected,
-				Detected:        r.Stats.FaultsDetected,
-				Squashed:        r.Stats.FaultsSquashed,
-				FaultsUnchecked: r.Stats.FaultsInjectedUnchecked,
-				DetectLatency:   r.Stats.AvgFaultDetectLatency(),
-				IPC:             r.IPC(),
-				Cycles:          r.Stats.Cycles,
-				ArchSig:         r.Stats.ArchSig,
-			}
-			if rec := r.Recovery; rec != nil {
-				tr.Rollbacks, tr.Overruns, tr.Unrecoverable = rec.Rollbacks, rec.Overruns, rec.Unrecoverable
-				tr.Checkpoints = rec.Checkpoints
-				tr.LostWork = rec.LostWork
-				// Each rollback undid exactly one injected, detected fault
-				// that the rewound committed counters no longer carry.
-				tr.Faults += rec.Rollbacks
-				tr.Detected += rec.Rollbacks
-				if n := len(rec.Events); n > 0 {
-					// The committed counters lost the rolled-back detection
-					// latencies; recompute over the trace's event log (which
-					// covers every detection on trial-sized runs).
-					var sum float64
-					for _, ev := range rec.Events {
-						sum += float64(ev.DetectCycle - ev.InjectCycle)
-					}
-					tr.DetectLatency = sum / float64(n)
-				}
-			}
-			if e.st != nil {
-				// Best effort: a failed write costs a re-simulation on
-				// resume, never the campaign.
-				_ = e.st.Put(trialKey(dg, i), tr)
-			}
+			tr := newTrial(i, mc.FaultSeed, r, golden.Stats.ArchSig)
 			mu.Lock()
 			res.Trials[i] = tr
-			res.Executed++
+			if ran {
+				res.Executed++
+			} else {
+				res.Resumed++
+			}
 			prog.Done++
+			prog.Resumed = res.Resumed
 			prog.Counts.add(tr.Outcome)
 			prog.Coverage = prog.Counts.coverage()
 			if progress != nil {
@@ -913,4 +829,42 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 	// res.Trials is index-addressed throughout, so it is already in
 	// trial order.
 	return res, nil
+}
+
+// newTrial summarizes trial i's simulation result r, injected with the
+// fault seed seed, against the golden run's architectural signature.
+func newTrial(i int, seed uint64, r sim.Result, goldenSig uint64) Trial {
+	tr := Trial{
+		Index:           i,
+		Seed:            seed,
+		Outcome:         Classify(r, goldenSig),
+		Faults:          r.Stats.FaultsInjected,
+		Detected:        r.Stats.FaultsDetected,
+		Squashed:        r.Stats.FaultsSquashed,
+		FaultsUnchecked: r.Stats.FaultsInjectedUnchecked,
+		DetectLatency:   r.Stats.AvgFaultDetectLatency(),
+		IPC:             r.IPC(),
+		Cycles:          r.Stats.Cycles,
+		ArchSig:         r.Stats.ArchSig,
+	}
+	if rec := r.Recovery; rec != nil {
+		tr.Rollbacks, tr.Overruns, tr.Unrecoverable = rec.Rollbacks, rec.Overruns, rec.Unrecoverable
+		tr.Checkpoints = rec.Checkpoints
+		tr.LostWork = rec.LostWork
+		// Each rollback undid exactly one injected, detected fault that the
+		// rewound committed counters no longer carry.
+		tr.Faults += rec.Rollbacks
+		tr.Detected += rec.Rollbacks
+		if n := len(rec.Events); n > 0 {
+			// The committed counters lost the rolled-back detection
+			// latencies; recompute over the trace's event log (which covers
+			// every detection on trial-sized runs).
+			var sum float64
+			for _, ev := range rec.Events {
+				sum += float64(ev.DetectCycle - ev.InjectCycle)
+			}
+			tr.DetectLatency = sum / float64(n)
+		}
+	}
+	return tr
 }

@@ -23,8 +23,11 @@ func quickSpec(machine string, trials int) Spec {
 	}
 }
 
-func quickSuite() *sim.Suite {
-	return sim.NewSuite(sim.Options{WarmupInstrs: 2_000, MeasureInstrs: 5_000})
+func quickSuite() *sim.Suite { return suiteAt(0) }
+
+// suiteAt is quickSuite at an explicit parallelism (0 = GOMAXPROCS).
+func suiteAt(parallelism int) *sim.Suite {
+	return sim.NewSuite(sim.Options{WarmupInstrs: 2_000, MeasureInstrs: 5_000, Parallelism: parallelism})
 }
 
 // TestClassify pins each outcome class from crafted engine results.
@@ -160,8 +163,8 @@ func TestProtectedMachineHasNoSDC(t *testing.T) {
 }
 
 // TestCampaignResume pins store-backed resumption: a second engine over
-// the same store re-runs nothing and restores every trial record
-// identically.
+// a fresh suite on the same store re-runs nothing and rebuilds every
+// trial record identically.
 func TestCampaignResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.jsonl")
 	spec := quickSpec("shrec", 10)
@@ -170,7 +173,7 @@ func TestCampaignResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := New(quickSuite()).WithStore(st).Run(context.Background(), spec, nil)
+	first, err := New(quickSuite().WithStore(st)).Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,15 +190,15 @@ func TestCampaignResume(t *testing.T) {
 	}
 	defer st2.Close()
 	sims := quickSuite()
-	second, err := New(sims).WithStore(st2).Run(context.Background(), spec, nil)
+	second, err := New(sims.WithStore(st2)).Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second.Resumed != 10 || second.Executed != 0 {
 		t.Fatalf("resumed campaign: resumed %d, executed %d, want 10/0", second.Resumed, second.Executed)
 	}
-	// Only the golden run may simulate on resume.
-	if runs := sims.Counters().Runs; runs > 1 {
+	// Nothing simulates on resume: the golden run is a store hit too.
+	if runs := sims.Counters().Runs; runs != 0 {
 		t.Fatalf("resumed campaign re-simulated %d runs", runs)
 	}
 	for i := range first.Trials {
@@ -209,7 +212,7 @@ func TestCampaignResume(t *testing.T) {
 	// not depend on the trial count.
 	bigger := spec
 	bigger.Trials = 14
-	third, err := New(quickSuite()).WithStore(st2).Run(context.Background(), bigger, nil)
+	third, err := New(quickSuite().WithStore(st2)).Run(context.Background(), bigger, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +233,7 @@ func TestCampaignCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var cancelled bool
-	_, err = New(quickSuite()).WithStore(st).Run(ctx, spec, func(p Progress) {
+	_, err = New(quickSuite().WithStore(st)).Run(ctx, spec, func(p Progress) {
 		if p.Done >= 5 && !cancelled {
 			cancelled = true
 			cancel()
@@ -249,7 +252,7 @@ func TestCampaignCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	res, err := New(quickSuite()).WithStore(st2).Run(context.Background(), spec, nil)
+	res, err := New(quickSuite().WithStore(st2)).Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func TestRecoveryCampaignKillAndResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var killedAt int
-	_, err = New(quickSuite()).WithStore(st).Run(ctx, spec, func(p Progress) {
+	_, err = New(quickSuite().WithStore(st)).Run(ctx, spec, func(p Progress) {
 		if p.Done >= 5 && killedAt == 0 {
 			killedAt = p.Done
 			cancel()
@@ -188,7 +188,7 @@ func TestRecoveryCampaignKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	resumed, err := New(quickSuite()).WithStore(st2).Run(context.Background(), spec, nil)
+	resumed, err := New(quickSuite().WithStore(st2)).Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,5 +203,100 @@ func TestRecoveryCampaignKillAndResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(whole.RecoverySummary(), resumed.RecoverySummary()) {
 		t.Fatal("resumed recovery summary diverged")
+	}
+}
+
+// TestCampaignOneRecordPerSimulation pins the single persistence layer: a
+// campaign leaves one store record per simulation — the golden run and
+// each trial — and a rerun on a fresh suite over the same store simulates
+// nothing and counts every trial resumed.
+func TestCampaignOneRecordPerSimulation(t *testing.T) {
+	const trials = 4
+	spec := quickSpec("shrec", trials)
+	spec.Recovery = "ckpt@4k+depth2"
+	path := filepath.Join(t.TempDir(), "campaign.db")
+
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := New(quickSuite().WithStore(st)).Run(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Executed != trials {
+		t.Fatalf("fresh campaign executed %d trials, want %d", first.Executed, trials)
+	}
+	if got := st.Len(); got != trials+1 {
+		t.Fatalf("store holds %d records, want %d (golden + one per trial)", got, trials+1)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	sims := quickSuite().WithStore(st2)
+	again, err := New(sims).Run(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Resumed != trials || again.Executed != 0 {
+		t.Fatalf("rerun resumed %d, executed %d, want %d/0", again.Resumed, again.Executed, trials)
+	}
+	if runs := sims.Counters().Runs; runs != 0 {
+		t.Fatalf("rerun simulated %d runs, want 0", runs)
+	}
+	if got := st2.Len(); got != trials+1 {
+		t.Fatalf("rerun grew the store to %d records, want %d", got, trials+1)
+	}
+}
+
+// TestCampaignIdentityAcrossResumeAndParallelism is the metamorphic pin of
+// campaign identity: the trial records and outcome counts are the same
+// for a fresh run, a run resumed from the store on a fresh suite (every
+// trial rebuilt from a JSON-decoded sim.Result, recovery trace and its
+// detect latencies included), and a run at parallelism 1 instead of 2.
+func TestCampaignIdentityAcrossResumeAndParallelism(t *testing.T) {
+	spec := recoverySpec(12)
+	st, err := store.Open(filepath.Join(t.TempDir(), "campaign.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	fresh, err := New(suiteAt(2).WithStore(st)).Run(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := New(suiteAt(2).WithStore(st)).Run(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Resumed != spec.Trials {
+		t.Fatalf("store-backed rerun resumed %d of %d trials", resumed.Resumed, spec.Trials)
+	}
+	serial, err := New(suiteAt(1)).Run(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rolledBack := false
+	for _, tr := range fresh.Trials {
+		rolledBack = rolledBack || (tr.Rollbacks > 0 && tr.DetectLatency > 0)
+	}
+	if !rolledBack {
+		t.Fatal("no trial rolled back; the recovery-trace latency path is not exercised")
+	}
+	for name, r := range map[string]*Result{"store-resumed": resumed, "parallelism 1": serial} {
+		if !reflect.DeepEqual(fresh.Trials, r.Trials) {
+			t.Errorf("%s run's trials diverged from the fresh run", name)
+		}
+		if !reflect.DeepEqual(fresh.Counts(), r.Counts()) {
+			t.Errorf("%s run's counts %+v != fresh %+v", name, r.Counts(), fresh.Counts())
+		}
 	}
 }

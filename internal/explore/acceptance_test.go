@@ -142,9 +142,10 @@ func TestHalvingMatchesGridFrontier(t *testing.T) {
 }
 
 // TestStrategiesShareEvaluations pins the cross-strategy resume design:
-// the exploration digest excludes the strategy and budget, so a grid run
-// after a halving run of the same spec restores every survivor's
-// full-fidelity evaluation from the store instead of re-simulating it.
+// an evaluation is a function of its simulations alone, not of the
+// strategy or budget, so a grid run after a halving run of the same spec
+// restores every survivor's full-fidelity evaluation from the store
+// instead of re-simulating it.
 func TestStrategiesShareEvaluations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("~100 short simulations; full tier only")
@@ -158,14 +159,14 @@ func TestStrategiesShareEvaluations(t *testing.T) {
 
 	halvSpec := accSpec()
 	halvSpec.Strategy = StrategyHalving
-	halv, err := New(sim.NewSuite(quickOpts())).WithStore(st).Run(context.Background(), halvSpec, nil)
+	halv, err := New(sim.NewSuite(quickOpts()).WithStore(st)).Run(context.Background(), halvSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	gridSpec := accSpec()
 	gridSpec.Strategy = StrategyGrid
-	grid, err := New(sim.NewSuite(quickOpts())).WithStore(st).Run(context.Background(), gridSpec, nil)
+	grid, err := New(sim.NewSuite(quickOpts()).WithStore(st)).Run(context.Background(), gridSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,11 @@
 // the same fidelity, a deterministic hardware-cost proxy (Cost), and —
 // when the point carries a fault rate — Monte Carlo detection coverage
 // through internal/campaign. Evaluations flow through the shared
-// sim.Suite, so concurrent and repeated explorations reuse runs, and
-// each finished evaluation persists through internal/store keyed by the
-// exploration's content digest plus point index: a killed exploration
-// resumes without re-evaluating finished points.
+// sim.Suite, so concurrent and repeated explorations reuse runs, and with
+// a store attached to the suite every simulation behind an evaluation
+// persists: a killed exploration resumes without re-simulating finished
+// points, and a point whose simulations were all served from the suite
+// counts as resumed.
 //
 // The result is the Pareto frontier (stats.ParetoFront) over the
 // full-fidelity evaluations, rendered as a typed report.Report.
@@ -46,7 +47,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -103,9 +103,9 @@ const (
 // Strategies lists the selectable search strategies.
 func Strategies() []string { return []string{StrategyGrid, StrategyHalving} }
 
-// Eval is one point's scored evaluation — the unit the store persists
-// and the report tabulates. All fields are finite (coverage is guarded
-// by Covered rather than NaN) so the record always serializes.
+// Eval is one point's scored evaluation — the unit the report tabulates.
+// All fields are finite (coverage is guarded by Covered rather than NaN)
+// so the record always serializes.
 type Eval struct {
 	// Index is the point's position in the space enumeration.
 	Index int `json:"index"`
@@ -156,7 +156,8 @@ type Progress struct {
 	// phase (halving's full-phase Total is known only after the screen).
 	Done  int `json:"done"`
 	Total int `json:"total"`
-	// Resumed counts evaluations restored from the store, both phases.
+	// Resumed counts evaluations, both phases, whose simulations were all
+	// served from the suite's cache or store.
 	Resumed int `json:"resumed"`
 }
 
@@ -178,8 +179,9 @@ type Result struct {
 	// points (maximize IPC and coverage, minimize cost), in index
 	// order.
 	Frontier []int `json:"frontier"`
-	// Resumed counts evaluations restored from the persistent store;
-	// Executed counts evaluations computed by this run.
+	// Resumed counts evaluations whose simulations were all served from
+	// the suite's cache or store; Executed counts evaluations that
+	// simulated at least one run. They sum to the evaluation count.
 	Resumed  int `json:"resumed"`
 	Executed int `json:"executed"`
 }
@@ -302,41 +304,13 @@ func Normalize(spec Spec, def sim.Options) (Spec, error) {
 // suite's result cache and parallelism bound.
 type Engine struct {
 	sims *sim.Suite
-	st   *store.Store
 }
 
 // New builds an exploration engine over an existing simulation suite.
+// With a store attached to the suite, explorations resume across
+// processes.
 func New(sims *sim.Suite) *Engine {
 	return &Engine{sims: sims}
-}
-
-// WithStore attaches a persistent store: finished point evaluations (and
-// the campaign trials behind their coverage) are written through, and a
-// later Run of the same exploration restores them instead of
-// re-evaluating. Returns e for chaining.
-func (e *Engine) WithStore(st *store.Store) *Engine {
-	e.st = st
-	return e
-}
-
-// digest is the exploration's content identity: everything that shapes
-// an evaluation except the strategy and budget, which only select WHICH
-// points are evaluated — so a halving exploration and a grid over the
-// same space share evaluations, and extending the budget reuses every
-// finished point.
-func (s Spec) digest() string {
-	return store.Digest("explore.Eval.v1", s.Space, s.Benchmarks, s.Seed)
-}
-
-// evalKey keys one point's evaluation at one fidelity in the store.
-// trials must be the count that actually shaped the evaluation: the
-// spec's for a full-fidelity faulted point, zero otherwise — a
-// performance-only or screened evaluation does not depend on the trial
-// count, and keying it by Trials anyway would needlessly invalidate
-// resume whenever the caller refines it.
-func evalKey(digest string, index int, opt sim.Options, trials int) string {
-	return fmt.Sprintf("%s/point/%d/w%d-m%d-t%d", digest, index,
-		opt.WarmupInstrs, opt.MeasureInstrs, trials)
 }
 
 // pointSeed derives the campaign master seed of point i — a splitmix
@@ -352,7 +326,6 @@ type run struct {
 	eng      *Engine
 	spec     Spec
 	points   []Point
-	digest   string
 	progress func(Progress)
 
 	mu       sync.Mutex
@@ -380,44 +353,35 @@ func (r *run) options(screen bool) sim.Options {
 // baselineIPC scores the plain SS2 redundant machine — the slowdown
 // reference — over the spec's benchmarks at the given options.
 func (r *run) baselineIPC(ctx context.Context, opt sim.Options) (float64, error) {
-	return r.meanIPC(ctx, config.SS2(config.Factors{}), opt)
+	ipc, _, err := r.meanIPC(ctx, config.SS2(config.Factors{}), opt)
+	return ipc, err
 }
 
-// meanIPC is the harmonic-mean IPC of machine m over the benchmarks.
-func (r *run) meanIPC(ctx context.Context, m config.Machine, opt sim.Options) (float64, error) {
+// meanIPC is the harmonic-mean IPC of machine m over the benchmarks. ran
+// reports that at least one of the runs was simulated by this call.
+func (r *run) meanIPC(ctx context.Context, m config.Machine, opt sim.Options) (float64, bool, error) {
 	ipcs := make([]float64, 0, len(r.spec.Benchmarks))
+	ran := false
 	for _, b := range r.spec.Benchmarks {
 		p, err := workload.ByName(b)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
-		res, err := r.eng.sims.GetOpt(ctx, m, p, opt)
+		res, fresh, err := r.eng.sims.Fetch(ctx, m, p, opt)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
+		ran = ran || fresh
 		ipcs = append(ipcs, res.IPC())
 	}
-	return stats.HarmonicMean(ipcs), nil
+	return stats.HarmonicMean(ipcs), ran, nil
 }
 
-// evalPoint scores one point at one fidelity, consulting the store
-// first. The returned bool reports a store restore.
+// evalPoint scores one point at one fidelity. The returned bool reports
+// a resumed evaluation: every simulation behind it was served from the
+// suite's cache or store.
 func (r *run) evalPoint(ctx context.Context, pt Point, opt sim.Options, screen bool, baseIPC float64) (Eval, bool, error) {
-	// Campaigns (and therefore the trial count) only shape full-fidelity
-	// evaluations of faulted points (see the coverage block below and
-	// evalKey's contract).
-	keyTrials := 0
-	if pt.Rate > 0 && !screen {
-		keyTrials = r.spec.Trials
-	}
-	key := evalKey(r.digest, pt.Index, opt, keyTrials)
-	if r.eng.st != nil {
-		var ev Eval
-		if ok, err := r.eng.st.Get(key, &ev); err == nil && ok && ev.Spec == pt.Spec {
-			return ev, true, nil
-		}
-	}
-	ipc, err := r.meanIPC(ctx, pt.Machine, opt)
+	ipc, ran, err := r.meanIPC(ctx, pt.Machine, opt)
 	if err != nil {
 		return Eval{}, false, err
 	}
@@ -436,9 +400,6 @@ func (r *run) evalPoint(ctx context.Context, pt Point, opt sim.Options, screen b
 	// re-measured on every survivor at full fidelity anyway.
 	if pt.Rate > 0 && !screen && r.spec.Trials > 0 {
 		camp := campaign.New(r.eng.sims)
-		if r.eng.st != nil {
-			camp.WithStore(r.eng.st)
-		}
 		var counts campaign.Counts
 		var pooled *campaign.RecoverySummary
 		var ckptOvWeighted float64
@@ -455,6 +416,7 @@ func (r *run) evalPoint(ctx context.Context, pt Point, opt sim.Options, screen b
 			if err != nil {
 				return Eval{}, false, fmt.Errorf("coverage of %s on %s: %w", pt.Spec, b, err)
 			}
+			ran = ran || cres.Executed > 0
 			c := cres.Counts()
 			counts.Detected += c.Detected
 			counts.Squashed += c.Squashed
@@ -500,18 +462,13 @@ func (r *run) evalPoint(ctx context.Context, pt Point, opt sim.Options, screen b
 			ev.MTTFCycles = av.MTTFCycles
 		}
 	}
-	if r.eng.st != nil {
-		// Best effort: a failed write costs a re-evaluation on resume,
-		// never the exploration.
-		_ = r.eng.st.Put(key, ev)
-	}
-	return ev, false, nil
+	return ev, !ran, nil
 }
 
 // evalAll scores every point concurrently at the given fidelity,
 // returning evaluations in point order. Failures are joined; on context
-// cancellation the cascade collapses to one error (finished evaluations
-// have already been persisted).
+// cancellation the cascade collapses to one error (the simulations of
+// finished evaluations are already in the suite and its store).
 func (r *run) evalAll(ctx context.Context, points []Point, screen bool) ([]Eval, error) {
 	opt := r.options(screen)
 	baseStart := time.Now()
@@ -533,7 +490,7 @@ func (r *run) evalAll(ctx context.Context, points []Point, screen bool) ([]Eval,
 		go func(i int, pt Point) {
 			defer wg.Done()
 			evalStart := time.Now()
-			ev, restored, err := r.evalPoint(ctx, pt, opt, screen, baseIPC)
+			ev, resumed, err := r.evalPoint(ctx, pt, opt, screen, baseIPC)
 			telemetry.SpanFrom(ctx).Record(phase+"_eval", time.Since(evalStart))
 			r.mu.Lock()
 			defer r.mu.Unlock()
@@ -542,7 +499,7 @@ func (r *run) evalAll(ctx context.Context, points []Point, screen bool) ([]Eval,
 				return
 			}
 			evals[i] = ev
-			if restored {
+			if resumed {
 				r.resumed++
 			} else {
 				r.executed++
@@ -616,8 +573,9 @@ func (s Spec) hasAvailability() bool {
 // Run executes (or resumes) the exploration described by spec. The
 // progress callback, when non-nil, is invoked serially after every
 // finished evaluation; it must return quickly. On context cancellation
-// the exploration stops with an error, but every finished evaluation has
-// already been persisted, so a later Run resumes from it.
+// the exploration stops with an error, but the simulations of every
+// finished evaluation are already in the suite and its store, so a later
+// Run resumes from them.
 func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*Result, error) {
 	ns, err := Normalize(spec, e.sims.Options())
 	if err != nil {
@@ -627,7 +585,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 	if err != nil {
 		return nil, err
 	}
-	r := &run{eng: e, spec: ns, points: points, digest: ns.digest(), progress: progress}
+	r := &run{eng: e, spec: ns, points: points, progress: progress}
 
 	strat, err := strategyFor(ns.Strategy)
 	if err != nil {
@@ -745,7 +703,7 @@ func (r *Result) Report() *report.Report {
 			len(r.Screen), r.Spec.ScreenDiv, len(r.Evals))
 	}
 	if r.Resumed > 0 {
-		rep.AddNote("resumed %d evaluations from the store (%d executed)", r.Resumed, r.Executed)
+		rep.AddNote("resumed %d evaluations from earlier simulations (%d executed)", r.Resumed, r.Executed)
 	}
 
 	rep.SetMeta("strategy", r.Spec.Strategy)

@@ -300,7 +300,7 @@ func TestExploreResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	killedAt := 0
-	_, err = New(sim.NewSuite(quickOpts())).WithStore(st).Run(ctx, spec, func(p Progress) {
+	_, err = New(sim.NewSuite(quickOpts()).WithStore(st)).Run(ctx, spec, func(p Progress) {
 		if p.Done >= 3 && killedAt == 0 {
 			killedAt = p.Done
 			cancel()
@@ -325,7 +325,7 @@ func TestExploreResume(t *testing.T) {
 	}
 	defer st2.Close()
 	sims := sim.NewSuite(quickOpts())
-	res, err := New(sims).WithStore(st2).Run(context.Background(), spec, nil)
+	res, err := New(sims.WithStore(st2)).Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,10 +336,10 @@ func TestExploreResume(t *testing.T) {
 		t.Fatalf("resumed %d + executed %d != %d points", res.Resumed, res.Executed, res.Points)
 	}
 	// The suite's counter agrees: one simulation per executed evaluation
-	// (one benchmark each) plus the SS2 slowdown baseline. Resumed
-	// evaluations run nothing.
-	if got, want := sims.Counters().Runs, uint64(res.Executed)+1; got != want {
-		t.Fatalf("suite executed %d simulations, want %d (executed evals + baseline)", got, want)
+	// (one benchmark each). Resumed evaluations and the SS2 slowdown
+	// baseline, a store hit, run nothing.
+	if got, want := sims.Counters().Runs, uint64(res.Executed); got != want {
+		t.Fatalf("suite executed %d simulations, want %d (executed evals)", got, want)
 	}
 	if len(res.Evals) != res.Points || len(res.Frontier) == 0 {
 		t.Fatalf("degenerate result: %d evals, %d frontier", len(res.Evals), len(res.Frontier))
@@ -356,11 +356,10 @@ func TestExploreResume(t *testing.T) {
 	}
 }
 
-// TestTrialsIgnoredByUnfaultedKeys pins the store-key scoping fix: the
-// trial count only keys evaluations it can influence (full-fidelity
-// faulted points), so rerunning a performance-only exploration with a
-// different Trials resumes every evaluation instead of invalidating the
-// store.
+// TestTrialsIgnoredByUnfaultedKeys pins that the trial count only
+// reaches evaluations it can influence (full-fidelity faulted points), so
+// rerunning a performance-only exploration with a different Trials
+// resumes every evaluation from the store.
 func TestTrialsIgnoredByUnfaultedKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations; full tier only")
@@ -371,7 +370,7 @@ func TestTrialsIgnoredByUnfaultedKeys(t *testing.T) {
 	}
 	defer st.Close()
 	spec := Spec{Space: Space{Bases: []string{"ss1", "shrec"}}, Seed: 3}
-	first, err := New(sim.NewSuite(quickOpts())).WithStore(st).Run(context.Background(), spec, nil)
+	first, err := New(sim.NewSuite(quickOpts()).WithStore(st)).Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +378,7 @@ func TestTrialsIgnoredByUnfaultedKeys(t *testing.T) {
 		t.Fatalf("first run executed %d", first.Executed)
 	}
 	spec.Trials = 100 // irrelevant to fault-free points
-	again, err := New(sim.NewSuite(quickOpts())).WithStore(st).Run(context.Background(), spec, nil)
+	again, err := New(sim.NewSuite(quickOpts()).WithStore(st)).Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

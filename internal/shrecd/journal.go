@@ -20,9 +20,9 @@ var errTableFull = errors.New("job table full")
 // the server), and the entry is only marked done/failed when the job
 // finishes on purpose. A shrecd killed mid-job therefore leaves the
 // entry pending, and the next startup replays the journal, re-adopts
-// every pending job, and restarts it through the engines' per-digest
-// trial/point resume — finished work is read back from the result
-// store, so only the trials in flight at the kill are re-executed.
+// every pending job, and restarts it — every finished simulation is
+// read back from the result store, so only the trials in flight at the
+// kill are re-executed.
 // That turns kill -9 into a bounded-lost-work event, exactly the
 // checkpoint discipline the simulated machines use.
 //

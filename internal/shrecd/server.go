@@ -72,9 +72,9 @@ type Config struct {
 	// MaxPoints caps the space size and full-fidelity budget of
 	// POST /explorations requests (<=0 means 1024).
 	MaxPoints int
-	// Store, when non-nil, persists per-trial campaign records so killed
-	// campaigns resume across server restarts. Attach the same store to
-	// the suite for simulation-level persistence.
+	// Store, when non-nil, is the result store: NewWith attaches it to the
+	// suite, so every simulation result persists and killed campaigns and
+	// explorations resume across server restarts.
 	Store *store.Store
 	// Journal, when non-nil, is the write-ahead job journal: accepted
 	// campaign/exploration specs are journaled before they run, and a
@@ -161,7 +161,8 @@ func New(cfg Config) *Server {
 }
 
 // NewWith builds a server over an existing simulation suite (so callers
-// can attach a persistent store or share the cache with other drivers).
+// can share the cache with other drivers). A non-nil cfg.Store is
+// attached to the suite.
 func NewWith(cfg Config, sims *sim.Suite) *Server {
 	if cfg.DefaultOptions == (sim.Options{}) {
 		cfg.DefaultOptions = sims.Options()
@@ -192,11 +193,8 @@ func NewWith(cfg Config, sims *sim.Suite) *Server {
 	if cfg.ShedAfter == 0 {
 		cfg.ShedAfter = 5 * time.Second
 	}
-	camp := campaign.New(sims)
-	expl := explore.New(sims)
 	if cfg.Store != nil {
-		camp.WithStore(cfg.Store)
-		expl.WithStore(cfg.Store)
+		sims.WithStore(cfg.Store)
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
@@ -209,8 +207,8 @@ func NewWith(cfg Config, sims *sim.Suite) *Server {
 		cfg:      cfg,
 		sims:     sims,
 		exp:      experiments.NewSuite(sims),
-		camp:     camp,
-		expl:     expl,
+		camp:     campaign.New(sims),
+		expl:     explore.New(sims),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		start:    time.Now(),
 		baseCtx:  ctx,

@@ -349,7 +349,7 @@ func TestHealthz(t *testing.T) {
 	defer rs.Close()
 	defer js.Close()
 	opt := sim.Options{WarmupInstrs: 2000, MeasureInstrs: 5000}
-	withStores := NewWith(Config{DefaultOptions: opt, Store: rs, Journal: js}, sim.NewSuite(opt).WithStore(rs))
+	withStores := NewWith(Config{DefaultOptions: opt, Store: rs, Journal: js}, sim.NewSuite(opt))
 	defer withStores.Close()
 
 	for _, c := range []struct {

@@ -556,10 +556,19 @@ func (s *Suite) Get(ctx context.Context, m config.Machine, p trace.Profile) (Res
 	return s.GetOpt(ctx, m, p, s.opt)
 }
 
-// GetOpt is Get with per-call run lengths, used by servers that accept
-// request-scoped options. Concurrent callers requesting the same
-// (machine, benchmark, options) key share one underlying run.
+// GetOpt is Fetch without the ran report, used by servers that accept
+// request-scoped options.
 func (s *Suite) GetOpt(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
+	res, _, err := s.Fetch(ctx, m, p, opt)
+	return res, err
+}
+
+// Fetch returns the result of machine m on profile p at options opt, and
+// whether this call ran the simulation: a result served from the cache,
+// the store, or an in-flight duplicate reports ran == false. Concurrent
+// callers requesting the same (machine, benchmark, options) key share one
+// underlying run. Campaigns and explorations count resumed work by it.
+func (s *Suite) Fetch(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, bool, error) {
 	k := key(m, p, opt)
 	sh := s.shardFor(k)
 	for {
@@ -569,7 +578,7 @@ func (s *Suite) GetOpt(ctx context.Context, m config.Machine, p trace.Profile, o
 			sh.mu.Unlock()
 			s.observeStage(ctx, "cache_lookup", look)
 			s.cacheHits.Add(1)
-			return res, nil
+			return res, false, nil
 		}
 		if c, ok := sh.inflight[k]; ok {
 			sh.mu.Unlock()
@@ -580,19 +589,19 @@ func (s *Suite) GetOpt(ctx context.Context, m config.Machine, p trace.Profile, o
 				s.observeStage(ctx, "dedup_wait", wait)
 				if c.err == nil {
 					s.dedupWaits.Add(1)
-					return c.res, nil
+					return c.res, false, nil
 				}
 				// The owning caller was cancelled; if we are still live,
 				// retry so our request is not poisoned by their deadline.
 				if errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded) {
 					if ctx.Err() != nil {
-						return Result{}, ctx.Err()
+						return Result{}, false, ctx.Err()
 					}
 					continue
 				}
-				return Result{}, c.err
+				return Result{}, false, c.err
 			case <-ctx.Done():
-				return Result{}, ctx.Err()
+				return Result{}, false, ctx.Err()
 			}
 		}
 		c := &call{done: make(chan struct{})}
@@ -601,7 +610,8 @@ func (s *Suite) GetOpt(ctx context.Context, m config.Machine, p trace.Profile, o
 		s.observeStage(ctx, "cache_lookup", look)
 		s.cacheMiss.Add(1)
 
-		c.res, c.err = s.execute(ctx, m, p, opt)
+		var ran bool
+		c.res, ran, c.err = s.execute(ctx, m, p, opt)
 		sh.mu.Lock()
 		if c.err == nil {
 			sh.results[k] = c.res
@@ -609,13 +619,14 @@ func (s *Suite) GetOpt(ctx context.Context, m config.Machine, p trace.Profile, o
 		delete(sh.inflight, k)
 		sh.mu.Unlock()
 		close(c.done)
-		return c.res, c.err
+		return c.res, ran, c.err
 	}
 }
 
 // execute performs one cache-missing simulation: consult the persistent
-// store, otherwise run under the parallelism bound and write back.
-func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
+// store, otherwise run under the parallelism bound and write back. ran
+// reports that the result was simulated rather than read from the store.
+func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, bool, error) {
 	var dk string
 	if s.disk != nil {
 		dk = digest(m, p, opt)
@@ -625,14 +636,14 @@ func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, 
 		s.observeStage(ctx, "store_fetch", fetch)
 		if err == nil && ok {
 			s.storeHits.Add(1)
-			return res, nil
+			return res, false, nil
 		}
 	}
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
 	case <-ctx.Done():
-		return Result{}, ctx.Err()
+		return Result{}, false, ctx.Err()
 	}
 	if s.stages != nil {
 		// Layers below the suite (recovery rollbacks) report through the
@@ -644,7 +655,7 @@ func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, 
 	}
 	res, err := s.simulate(ctx, m, p, opt)
 	if err != nil {
-		return Result{}, err
+		return Result{}, false, err
 	}
 	s.runs.Add(1)
 	if opt.intervalCount() > 1 {
@@ -664,7 +675,7 @@ func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, 
 		}
 		s.observeStage(ctx, "store_write", write)
 	}
-	return res, nil
+	return res, true, nil
 }
 
 // simulate performs one underlying run, routing fault-campaign trials and

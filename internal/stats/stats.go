@@ -1,14 +1,12 @@
 // Package stats provides the small statistical toolkit the paper's
 // methodology requires: harmonic means for IPC aggregation (CPI is additive
 // across equal instruction counts, so IPCs combine harmonically), percentage
-// changes, and simple descriptive statistics used by tests and the workload
-// characterizer.
+// changes, and Wilson confidence intervals for fault-campaign coverage.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Wilson returns the Wilson score interval for a binomial proportion:
@@ -56,33 +54,6 @@ func HarmonicMean(xs []float64) float64 {
 	return float64(len(xs)) / inv
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. All values must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: GeoMean of non-positive value %v", x))
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
 // PctChange returns the percentage change from base to v: positive when v
 // is larger. It panics if base is zero.
 func PctChange(base, v float64) float64 {
@@ -95,115 +66,3 @@ func PctChange(base, v float64) float64 {
 // PctPenalty returns how many percent v falls below base (a positive
 // "performance penalty"): PctPenalty(4.0, 3.0) = 25.
 func PctPenalty(base, v float64) float64 { return -PctChange(base, v) }
-
-// WeightedMean returns the weighted arithmetic mean of xs with the given
-// weights. The slices must have equal length and the weights must sum to a
-// positive value.
-func WeightedMean(xs, weights []float64) float64 {
-	if len(xs) != len(weights) {
-		panic("stats: WeightedMean with mismatched lengths")
-	}
-	var sum, wsum float64
-	for i, x := range xs {
-		sum += x * weights[i]
-		wsum += weights[i]
-	}
-	if wsum <= 0 {
-		panic("stats: WeightedMean with non-positive total weight")
-	}
-	return sum / wsum
-}
-
-// Min returns the smallest element of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs without modifying it.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Median of empty slice")
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// Running accumulates a stream of observations with Welford's online
-// algorithm, giving mean and variance without storing the samples. The
-// zero value is ready to use.
-type Running struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of observations.
-func (r *Running) N() int64 { return r.n }
-
-// Mean returns the running mean (0 if empty).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Var returns the population variance (0 if fewer than two observations).
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Stddev returns the population standard deviation.
-func (r *Running) Stddev() float64 { return math.Sqrt(r.Var()) }
-
-// Min returns the smallest observation (0 if empty).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation (0 if empty).
-func (r *Running) Max() float64 { return r.max }

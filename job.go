@@ -117,13 +117,11 @@ func (j *Job[S, P, R]) Cancel() { j.cancel() }
 // StartCampaign launches a Monte Carlo fault-injection campaign and
 // returns immediately. Trials fan out through the client's shared
 // simulation cache and parallelism bound; with a store attached
-// (WithStore), finished trials persist, so a canceled or interrupted
-// campaign resumes where it left off instead of re-simulating.
+// (WithStore), finished trials persist as simulation results, so a
+// canceled or interrupted campaign resumes where it left off instead of
+// re-simulating.
 func (c *Client) StartCampaign(ctx context.Context, spec CampaignSpec, opts ...JobOption[CampaignProgress]) *CampaignJob {
 	eng := campaign.New(c.suite())
-	if c.st != nil {
-		eng.WithStore(c.st)
-	}
 	return startJob[CampaignSpec, CampaignProgress, CampaignResult](ctx, spec, opts,
 		func(ctx context.Context, progress func(CampaignProgress)) (*CampaignResult, error) {
 			return eng.Run(ctx, spec, progress)
@@ -134,14 +132,12 @@ func (c *Client) StartCampaign(ctx context.Context, spec CampaignSpec, opts ...J
 // immediately. The space's points are evaluated through the client's
 // shared simulation cache and parallelism bound — exhaustively, or
 // screened by seeded successive halving — and the Pareto-efficient
-// configurations are extracted. With a store attached (WithStore),
-// finished point evaluations persist, so a canceled or interrupted
-// exploration resumes where it left off instead of re-evaluating.
+// configurations are extracted. With a store attached (WithStore), the
+// simulations behind finished point evaluations persist, so a canceled
+// or interrupted exploration resumes where it left off instead of
+// re-simulating.
 func (c *Client) StartExplore(ctx context.Context, spec ExploreSpec, opts ...JobOption[ExploreProgress]) *ExploreJob {
 	eng := explore.New(c.suite())
-	if c.st != nil {
-		eng.WithStore(c.st)
-	}
 	return startJob[ExploreSpec, ExploreProgress, ExploreResult](ctx, spec, opts,
 		func(ctx context.Context, progress func(ExploreProgress)) (*ExploreResult, error) {
 			return eng.Run(ctx, spec, progress)
