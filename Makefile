@@ -130,10 +130,13 @@ cli-smoke:
 
 # Engine identity: the full (non-short) fast-forward/tick-loop
 # equivalence suite over every workload, and the cross-mode conformance
-# suite. The short suite runs equivalence on the memory-bound workload
-# only; this target covers all three (about 20 s on 2 vCPUs).
+# suite, both auditing the engine's invariants after every step (the
+# equivalence suite audits its fast loop); the issue-queue cursor test at
+# a ring tail of 0; and the lockstep SS2 seeds that once deadlocked. The
+# short suite runs equivalence on the memory-bound workload only; this
+# target covers all three (about 23 s on 2 vCPUs).
 engine-identity:
-	$(GO) test -count=1 -run 'TestFastForwardEquivalence|TestConformance' ./internal/core/
+	$(GO) test -count=1 -run 'TestFastForwardEquivalence|TestConformance|TestMaskCursorTailZero|TestSS2LockstepSeeds|TestAuditDetectsCorruption' ./internal/core/
 
 # Fuzz smoke: each native fuzz target for 10 s (go test -fuzz runs one
 # target in one package at a time): the machine-spec grammar's round trip

@@ -22,6 +22,10 @@ type MSHRFile struct {
 	// per-cycle occupancy accounting skip the scan.
 	inFlight int
 
+	// lines counts occupied registers per lineBucket, so find skips the
+	// scan for a line whose bucket is empty.
+	lines [1 << mshrBucketBits]uint16
+
 	// minReady caches the earliest readyAt among occupied registers
 	// (math.MaxInt64 when empty), so the per-cycle Expire sweep is a
 	// single comparison until a fill actually lands.
@@ -38,6 +42,14 @@ type mshrSlot struct {
 	readyAt int64
 	targets int
 	used    bool
+}
+
+// mshrBucketBits sizes MSHRFile.lines: 1<<mshrBucketBits buckets.
+const mshrBucketBits = 8
+
+// lineBucket hashes a line address to an MSHRFile.lines bucket.
+func lineBucket(lineAddr uint64) uint32 {
+	return uint32(lineAddr * 0x9e3779b97f4a7c15 >> (64 - mshrBucketBits))
 }
 
 // NewMSHRFile builds a file of entries registers with targets merge slots
@@ -103,6 +115,7 @@ func (m *MSHRFile) allocate(lineAddr uint64, readyAt int64) (MSHRResult, int64) 
 		if s := &m.slots[i]; !s.used {
 			*s = mshrSlot{line: lineAddr, readyAt: readyAt, targets: 1, used: true}
 			m.inFlight++
+			m.lines[lineBucket(lineAddr)]++
 			if readyAt < m.minReady {
 				m.minReady = readyAt
 			}
@@ -117,7 +130,7 @@ func (m *MSHRFile) allocate(lineAddr uint64, readyAt int64) (MSHRResult, int64) 
 // find returns lineAddr's occupied register, or nil when it has no
 // in-flight miss.
 func (m *MSHRFile) find(lineAddr uint64) *mshrSlot {
-	if m.inFlight == 0 {
+	if m.lines[lineBucket(lineAddr)] == 0 {
 		return nil
 	}
 	for i := range m.slots {
@@ -153,6 +166,7 @@ func (m *MSHRFile) Expire(now int64) {
 		if s.readyAt <= now {
 			s.used = false
 			m.inFlight--
+			m.lines[lineBucket(s.line)]--
 		} else if s.readyAt < min {
 			min = s.readyAt
 		}

@@ -120,6 +120,7 @@ func (w *window) clone() window {
 	c.readyAt = append([]int64(nil), w.readyAt...)
 	c.consumers = append([]uint64(nil), w.consumers...)
 	c.ready = append([]uint64(nil), w.ready...)
+	c.sleep = append([]uint64(nil), w.sleep...)
 	c.isq[0] = append([]uint64(nil), w.isq[0]...)
 	c.isq[1] = append([]uint64(nil), w.isq[1]...)
 	return c

@@ -31,6 +31,11 @@ import (
 //     without heap allocation (the bench gate enforces the same bound in
 //     CI via BenchmarkCycle).
 //
+// Clauses 1-4 run under runAudited, which checks the engine's structural
+// invariants (see audit) after every step. Each also compares against a
+// plain RunBudget or RunExact run (clause 3 cuts the plain run into
+// chunks), so the audited loop must match the production one.
+//
 // The fast-forward/tick-loop equivalence and cross-machine determinism
 // sweeps in equivalence_test.go and determinism_test.go extend this
 // contract; conformanceMachines and equivalenceMachines must both cover
@@ -68,7 +73,7 @@ func TestConformanceDeterminism(t *testing.T) {
 	for _, m := range conformanceMachines() {
 		t.Run(m.Name, func(t *testing.T) {
 			p := testWorkload(7)
-			a := runOn(t, m, p, conformRun)
+			a := runAudited(t, New(m, trace.New(p)), conformRun, false)
 			b := runOn(t, m, p, conformRun)
 			if a != b {
 				t.Errorf("two identical runs diverged\n a: %+v\n b: %+v", a, b)
@@ -93,24 +98,18 @@ func TestConformanceCheckpointRestore(t *testing.T) {
 			p := testWorkload(11)
 
 			e := New(m, trace.New(p))
-			if _, err := e.RunBudget(context.Background(), conformRun/3, 0); err != nil {
-				t.Fatal(err)
-			}
+			runAudited(t, e, conformRun/3, false)
 			cp, err := e.Checkpoint()
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			// The original continues to the full target...
-			want, err := e.RunBudget(context.Background(), conformRun, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := runAudited(t, e, conformRun, false)
 
 			// ...a sibling engine spawned from the checkpoint must land on
 			// exactly the same stats...
-			fresh := cp.NewEngine()
-			got, err := fresh.RunBudget(context.Background(), conformRun, 0)
+			got, err := cp.NewEngine().RunBudget(context.Background(), conformRun, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,10 +119,7 @@ func TestConformanceCheckpointRestore(t *testing.T) {
 
 			// ...and so must the original after an in-place rewind.
 			e.Restore(cp)
-			got, err = e.RunBudget(context.Background(), conformRun, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got = runAudited(t, e, conformRun, false)
 			if got != want {
 				t.Errorf("restored run diverged\n want: %+v\n got:  %+v", want, got)
 			}
@@ -155,21 +151,17 @@ func dropOccupancySums(s Stats) Stats {
 // Interval-parallel simulation and recovery's checkpoint cadence both
 // stand on this.
 func TestConformanceChunkedStitch(t *testing.T) {
-	ctx := context.Background()
 	for _, m := range conformanceMachines() {
 		t.Run(m.Name, func(t *testing.T) {
 			p := testWorkload(13)
 
-			whole := New(m, trace.New(p))
-			want, err := whole.RunExact(ctx, conformRun, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := runAudited(t, New(m, trace.New(p)), conformRun, true)
 
 			chunked := New(m, trace.New(p))
 			var got Stats
+			var err error
 			for _, target := range []uint64{1, conformRun / 5, conformRun / 2, conformRun - 7, conformRun} {
-				if got, err = chunked.RunExact(ctx, target, 0); err != nil {
+				if got, err = chunked.RunExact(context.Background(), target, 0); err != nil {
 					t.Fatal(err)
 				}
 				if got.Retired != target {
@@ -204,7 +196,7 @@ func TestConformanceArchSigAgreesWithSS1(t *testing.T) {
 	}
 	for _, m := range conformanceMachines() {
 		t.Run(m.Name, func(t *testing.T) {
-			st := runOn(t, m, p, conformRun)
+			st := runAudited(t, New(m, trace.New(p)), conformRun, false)
 			if st.ArchSig != base.ArchSig {
 				t.Errorf("%s ArchSig %#x != SS1 %#x: the mode perturbed the committed stream",
 					m.Name, st.ArchSig, base.ArchSig)

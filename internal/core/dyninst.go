@@ -96,13 +96,16 @@ const (
 // against the shared ROB capacity, which the dispatch guards enforce.
 //
 // Dependency wakeup is bitmap based. Each slot carries waitCnt, the number
-// of its distinct unissued producers, and readyAt, the latest completion
-// time over its issued producers. A producer's consumers row records which
-// slots wait on it; when the producer issues, the row is broadcast:
-// each consumer's waitCnt drops, its readyAt folds in the completion time,
-// and at zero the consumer's bit sets in the ready mask. The issue stage
+// of its distinct unissued producers, and readyAt, the earliest issue
+// cycle: one past dispatch, folded with every issued producer's completion
+// time. A producer's consumers row records which slots wait on it; when
+// the producer issues, the row is broadcast: each consumer's waitCnt
+// drops, its readyAt folds in the completion time, and at zero the
+// consumer arms. An armed slot sleeps in the sleep mask until the issue
+// stage's wake moves it, at readyAt, into the ready mask. The issue stage
 // scans (isq AND ready) words in ring age order with trailing-zeros bit
-// iteration, so stalled dependence chains cost nothing per cycle.
+// iteration, so neither stalled dependence chains nor slots waiting on
+// their operands' completion cost anything per cycle.
 type window struct {
 	capacity int32
 	words    int32 // uint64 words per bitmask = ceil(capacity/64)
@@ -127,7 +130,7 @@ type window struct {
 	dep1, dep2, pair, prevWriter, fwdStore []ref
 
 	// waitCnt counts distinct unissued producers; readyAt lower-bounds the
-	// operand-availability cycle once every producer has issued.
+	// issue cycle (see the wakeup description above).
 	waitCnt []uint8
 	readyAt []int64
 
@@ -135,9 +138,15 @@ type window struct {
 	// as waiting on producer p's issue.
 	consumers []uint64
 
-	// ready has bit s set iff waitCnt[s] == 0 (slot live); isq tracks
-	// issue-queue residency per thread. isqCount mirrors the popcounts.
+	// An armed (waitCnt zero) live slot sits in exactly one of ready, where
+	// it may issue this cycle (readyAt <= now), and sleep, until readyAt;
+	// wakeAt lower-bounds the sleepers' readyAt. With sleeps off (the tick
+	// loop) armed slots go straight to ready and issue checks readyAt. isq
+	// tracks issue-queue residency per thread; isqCount its popcounts.
 	ready    []uint64
+	sleep    []uint64
+	wakeAt   int64
+	sleeps   bool
 	isq      [2][]uint64
 	isqCount [2]int
 }
@@ -166,6 +175,8 @@ func newWindow(capacity int) window {
 		readyAt:      make([]int64, c),
 		consumers:    make([]uint64, int(c)*int(words)),
 		ready:        make([]uint64, words),
+		sleep:        make([]uint64, words),
+		wakeAt:       notDone,
 	}
 	w.isq[0] = make([]uint64, words)
 	w.isq[1] = make([]uint64, words)
@@ -197,7 +208,8 @@ func (w *window) checked(s int32, now int64) bool {
 
 // alloc claims the next ring slot and resets its fields. The caller fills
 // seq via the arguments and owns all further field writes; dispatch guards
-// must have ensured space (overflow is a model bug).
+// must have ensured space (overflow is a model bug). Dispatch-to-issue
+// takes at least one cycle, so readyAt starts one past now.
 func (w *window) alloc(seq uint64, in isa.Inst, t Thread, wrongPath bool, now int64) int32 {
 	if w.n == w.capacity {
 		panic("core: window overflow")
@@ -229,7 +241,7 @@ func (w *window) alloc(seq uint64, in isa.Inst, t Thread, wrongPath bool, now in
 	w.prevWriter[s] = noRef
 	w.fwdStore[s] = noRef
 	w.waitCnt[s] = 0
-	w.readyAt[s] = 0
+	w.readyAt[s] = now + 1
 	return s
 }
 
@@ -247,10 +259,8 @@ func (w *window) releaseSlot(s int32) {
 		}
 	}
 	w.ready[wi] &^= bit
-	row := w.consumers[int(s)*int(w.words) : (int(s)+1)*int(w.words)]
-	for i := range row {
-		row[i] = 0
-	}
+	w.sleep[wi] &^= bit
+	clear(w.consumers[int(s)*int(w.words) : (int(s)+1)*int(w.words)])
 	w.gen[s]++
 }
 
@@ -292,9 +302,9 @@ func (w *window) addDep(s int32, r ref) {
 }
 
 // broadcast wakes a just-issued producer's consumers: each drops one wait
-// count, folds doneAt into its operand-readiness bound, and enters the
-// ready mask when its last producer has issued. The producer's consumer
-// row is consumed by the broadcast (each waiter is woken exactly once).
+// count, folds doneAt into its operand-readiness bound, and arms when its
+// last producer has issued. The producer's consumer row is consumed by the
+// broadcast (each waiter is woken exactly once).
 func (w *window) broadcast(p int32, doneAt int64) {
 	row := w.consumers[int(p)*int(w.words) : (int(p)+1)*int(w.words)]
 	for wi, word := range row {
@@ -310,7 +320,7 @@ func (w *window) broadcast(p int32, doneAt int64) {
 				w.readyAt[c] = doneAt
 			}
 			if w.waitCnt[c]--; w.waitCnt[c] == 0 {
-				w.setReady(c)
+				w.arm(c)
 			}
 		}
 	}
@@ -358,18 +368,14 @@ func (w *window) reset() {
 		w.gen[s]++
 	}
 	w.head, w.tail, w.n = 0, 0, 0
-	for i := range w.ready {
-		w.ready[i] = 0
-	}
+	clear(w.ready)
+	clear(w.sleep)
+	w.wakeAt = notDone
 	for t := range w.isq {
-		for i := range w.isq[t] {
-			w.isq[t][i] = 0
-		}
+		clear(w.isq[t])
 		w.isqCount[t] = 0
 	}
-	for i := range w.consumers {
-		w.consumers[i] = 0
-	}
+	clear(w.consumers)
 }
 
 // ringSlot returns the i-th oldest live slot (test/debug helper).
@@ -381,7 +387,7 @@ func (w *window) ringSlot(i int32) int32 {
 	return s
 }
 
-// setReady marks the slot operand-ready (waitCnt reached zero).
+// setReady marks the slot issueable.
 func (w *window) setReady(s int32) {
 	w.ready[s>>6] |= 1 << (uint(s) & 63)
 }
@@ -392,19 +398,62 @@ func (w *window) clearReady(s int32) {
 	w.ready[s>>6] &^= 1 << (uint(s) & 63)
 }
 
+// arm enters a slot whose last producer has issued into the issue
+// candidates. Every arming leaves readyAt past now: dispatch sets it one
+// past the dispatch cycle, and a broadcast, or a load's incomplete
+// forwarding store, folds in a completion time that is still ahead. So
+// with sleeps on, an armed slot always sleeps first.
+func (w *window) arm(s int32) {
+	if !w.sleeps {
+		w.setReady(s)
+		return
+	}
+	w.sleep[s>>6] |= 1 << (uint(s) & 63)
+	w.wakeAt = min(w.wakeAt, w.readyAt[s])
+}
+
+// wake moves every sleeper whose readyAt has come into the ready mask and
+// recomputes wakeAt over the rest. The issue stage calls it before its
+// scans, so they visit only slots that may issue this cycle.
+func (w *window) wake(now int64) {
+	if now < w.wakeAt {
+		return
+	}
+	next := notDone
+	for wi, word := range w.sleep {
+		var due uint64
+		for m := word; m != 0; m &= m - 1 {
+			tz := bits.TrailingZeros64(m)
+			if at := w.readyAt[int32(wi)<<6+int32(tz)]; at > now {
+				next = min(next, at)
+			} else {
+				due |= 1 << tz
+			}
+		}
+		w.sleep[wi] = word &^ due
+		w.ready[wi] |= due
+	}
+	w.wakeAt = next
+}
+
 // setISQ inserts the slot into thread t's issue queue.
 func (w *window) setISQ(t Thread, s int32) {
 	w.isq[t][s>>6] |= 1 << (uint(s) & 63)
 	w.isqCount[t]++
 }
 
-// clearISQ removes the slot from thread t's issue queue (at issue).
+// clearISQ removes the slot from thread t's issue queue (at issue). A slot
+// that is not queued means the issue stage visited it twice, which would
+// leave isqCount out of step with the mask.
 func (w *window) clearISQ(t Thread, s int32) {
+	if !w.inISQ(t, s) {
+		panic("core: issue-queue clear of an unqueued slot")
+	}
 	w.isq[t][s>>6] &^= 1 << (uint(s) & 63)
 	w.isqCount[t]--
 }
 
-// inISQ reports issue-queue residency (test helper).
+// inISQ reports issue-queue residency.
 func (w *window) inISQ(t Thread, s int32) bool {
 	return w.isq[t][s>>6]&(1<<(uint(s)&63)) != 0
 }
@@ -485,6 +534,11 @@ func (w *window) newMaskCursor(mask []uint64) maskCursor {
 		c.segs[0] = [2]int32{w.head, w.capacity}
 		c.segs[1] = [2]int32{0, w.tail}
 		c.nseg = 2
+		if w.tail == 0 {
+			// [0, 0) is empty, and maskedWord cannot clip it (its last
+			// word index is -1), so it would rescan word 0.
+			c.nseg = 1
+		}
 	}
 	return c
 }

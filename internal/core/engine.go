@@ -36,8 +36,10 @@ type Engine struct {
 	// Per-thread ROB views. robM and robR share the configured ROB
 	// capacity; robR is unused outside SS2.
 	robM, robR idxFifo
-	// lsq holds M-thread memory operations from dispatch to retirement.
-	lsq idxFifo
+	// lsq holds correct-path M-thread memory operations from dispatch to
+	// retirement; lsqStores counts its stores per granuleBucket.
+	lsq       idxFifo
+	lsqStores [1 << lsqBucketBits]uint16
 	// pendingR holds decoded-but-undispatched R-thread copies (SS2 with
 	// stagger). Its length is the current dispatch stagger.
 	pendingR idxFifo
@@ -76,10 +78,11 @@ type Engine struct {
 	meekLog  idxFifo
 	meekBusy []int64
 
-	// tickLoop disables the cycle-skipping fast path and the
-	// store-forwarding memo, forcing the reference tick-by-tick loop (see
-	// Option WithTickLoop). The equivalence suite runs both loops and
-	// asserts identical results.
+	// tickLoop disables the cycle-skipping fast path, the
+	// store-forwarding memo and slot sleeping, forcing the reference
+	// tick-by-tick loop with its plain issue scan, which visits every
+	// operand-ready slot each cycle (see Option WithTickLoop). The
+	// equivalence suite runs both loops and asserts identical results.
 	tickLoop bool
 	// progressed records whether the current cycle changed any
 	// microarchitectural state beyond the clock: a fetch, dispatch, issue,
@@ -387,7 +390,17 @@ func New(m config.Machine, g trace.Source, opts ...Option) *Engine {
 	for _, opt := range opts {
 		opt(e)
 	}
+	e.w.sleeps = !e.tickLoop
 	return e
+}
+
+// lsqBucketBits sizes lsqStores: 1<<lsqBucketBits buckets.
+const lsqBucketBits = 10
+
+// granuleBucket hashes an address's 8-byte granule, the unit of
+// store-to-load forwarding, to an lsqStores bucket.
+func granuleBucket(addr uint64) uint32 {
+	return uint32((addr >> 3) * 0x9e3779b97f4a7c15 >> (64 - lsqBucketBits))
 }
 
 // Config returns the engine's machine configuration.
@@ -794,10 +807,10 @@ func (e *Engine) squashWrongPath() {
 	rollback(&e.robM)
 	rollback(&e.robR)
 
+	// The LSQ holds no wrong-path entries: dispatchInst never enters them.
 	wp := func(s int32) bool { return w.flags[s]&fWrongPath != 0 }
 	e.robM.removeIf(wp, nil)
 	e.robR.removeIf(wp, nil)
-	e.lsq.removeIf(wp, nil)
 	e.pendingR.removeIf(wp, nil)
 	w.rewindWrongPath()
 	if e.fetchBufValid && e.fetchBuf.wrongPath {
@@ -845,6 +858,7 @@ func (e *Engine) softException() {
 	e.robR.clear(nil)
 	e.pendingR.clear(nil)
 	e.lsq.clear(nil)
+	clear(e.lsqStores[:])
 	e.meekLog.clear(nil)
 	w.reset()
 	e.checkCount = 0

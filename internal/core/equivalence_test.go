@@ -76,6 +76,10 @@ func equivalenceMachines() []config.Machine {
 // fast-forward loop on identical engines and requires byte-identical
 // statistics — not only the engine's Stats but the functional-unit,
 // cache, and MSHR counters, which the skip path reconstructs analytically.
+// The tick loop's plain issue scan also pins the fast loop's slot
+// sleeping. The fast run is audited after every step; the reference runs
+// through WarmupContext and RunBudget, so the production entry points
+// stay under test.
 func assertEquivalent(t *testing.T, m config.Machine, p trace.Profile, warm, n uint64) {
 	t.Helper()
 	ref := New(m, trace.New(p), WithTickLoop())
@@ -84,17 +88,12 @@ func assertEquivalent(t *testing.T, m config.Machine, p trace.Profile, warm, n u
 	if err := ref.WarmupContext(context.Background(), warm); err != nil {
 		t.Fatalf("%s on %s: reference warmup: %v", m.Name, p.Name, err)
 	}
-	if err := fast.WarmupContext(context.Background(), warm); err != nil {
-		t.Fatalf("%s on %s: fast warmup: %v", m.Name, p.Name, err)
-	}
 	refStats, err := ref.RunBudget(context.Background(), n, 0)
 	if err != nil {
 		t.Fatalf("%s on %s: reference run: %v", m.Name, p.Name, err)
 	}
-	fastStats, err := fast.RunBudget(context.Background(), n, 0)
-	if err != nil {
-		t.Fatalf("%s on %s: fast run: %v", m.Name, p.Name, err)
-	}
+	warmAudited(t, fast, warm)
+	fastStats := runAudited(t, fast, n, false)
 
 	if refStats != fastStats {
 		t.Errorf("%s on %s: Stats diverge\n tick: %+v\n fast: %+v", m.Name, p.Name, refStats, fastStats)

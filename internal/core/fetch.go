@@ -321,13 +321,16 @@ func (e *Engine) dispatchInst(f *fetchedInst, t Thread) int32 {
 	e.progressed = true
 	e.rename(s)
 	if w.waitCnt[s] == 0 {
-		w.setReady(s)
+		w.arm(s)
 	}
 	e.robM.push(s)
 	w.setISQ(ThreadM, s)
 	if f.inst.Class.IsMem() && !f.wrongPath {
 		w.flags[s] |= fInLSQ
 		e.lsq.push(s)
+		if f.inst.IsStore() {
+			e.lsqStores[granuleBucket(f.inst.Addr)]++
+		}
 	}
 	return s
 }
@@ -347,7 +350,7 @@ func (e *Engine) makeRCopy(m int32) int32 {
 // dispatchRCopy renames and allocates a pending R copy.
 func (e *Engine) dispatchRCopy(r int32) {
 	w := &e.w
-	w.dispatchedAt[r] = e.now
+	w.dispatchedAt[r], w.readyAt[r] = e.now, e.now+1
 	e.progressed = true
 	e.rename(r)
 	if w.inst[r].IsLoad() {
@@ -356,7 +359,7 @@ func (e *Engine) dispatchRCopy(r int32) {
 		w.addDep(r, w.pair[r])
 	}
 	if w.waitCnt[r] == 0 {
-		w.setReady(r)
+		w.arm(r)
 	}
 	e.robR.push(r)
 	w.setISQ(ThreadR, r)

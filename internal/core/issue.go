@@ -18,8 +18,10 @@ import (
 //
 // Candidate selection is bitmap driven: the scan walks (isq AND ready)
 // words in ring age order, so entries with unissued producers cost nothing
-// until their last producer's issue-time broadcast re-arms them.
+// until their last producer's issue-time broadcast arms them, and armed
+// entries cost nothing until wake moves them into ready at readyAt.
 func (e *Engine) issue() {
+	e.w.wake(e.now)
 	budget := e.cfg.IssueWidth
 	switch e.cfg.Mode {
 	case config.ModeSS2:
@@ -162,14 +164,11 @@ func (e *Engine) issueMerged(budget *int) {
 // injection is applied, and dependent consumers are woken by broadcast.
 func (e *Engine) tryIssueOne(s int32) bool {
 	w := &e.w
-	// Dispatch-to-issue takes at least one cycle.
-	if w.dispatchedAt[s] >= e.now {
-		return false
-	}
 	// Readiness gates. The candidate scan already filters on the ready
-	// mask (waitCnt == 0); readyAt defers entries whose producers have all
-	// issued but not yet completed. The waitCnt check re-arms the entry
-	// defensively if a dynamic producer was registered mid-scan.
+	// mask, which outside the tick loop admits only entries with readyAt
+	// reached; readyAt covers the one-cycle dispatch-to-issue delay and
+	// producers that have issued but not yet completed. The waitCnt check
+	// guards against a dynamic producer registered mid-scan.
 	if w.waitCnt[s] != 0 || w.readyAt[s] > e.now {
 		return false
 	}
@@ -233,14 +232,13 @@ func (e *Engine) issueLoad(s int32) (int64, bool) {
 				// register it and sleep until its issue broadcast (or,
 				// when already issued, until its completion time).
 				if !e.tickLoop {
+					w.clearReady(s)
 					if w.flags[st]&fIssued != 0 {
-						if w.completeAt[st] > w.readyAt[s] {
-							w.readyAt[s] = w.completeAt[st]
-						}
+						w.readyAt[s] = w.completeAt[st]
+						w.arm(s)
 					} else {
 						w.waitCnt[s]++
 						w.consumers[int(st)*int(w.words)+int(s>>6)] |= 1 << (uint(s) & 63)
-						w.clearReady(s)
 					}
 				}
 				return 0, false
@@ -304,9 +302,13 @@ func (e *Engine) forwardingStore(s int32) (int32, bool) {
 
 // youngerMatchingStore returns the youngest older store in the LSQ whose
 // address granule matches the load's (perfect disambiguation from trace
-// addresses, as in sim-outorder).
+// addresses, as in sim-outorder). An empty granule bucket in lsqStores
+// proves there is none without the scan.
 func (e *Engine) youngerMatchingStore(s int32) (int32, bool) {
 	w := &e.w
+	if e.lsqStores[granuleBucket(w.inst[s].Addr)] == 0 {
+		return -1, false
+	}
 	granule := w.inst[s].Addr >> 3
 	seq := w.seq[s]
 	for i := e.lsq.len() - 1; i >= 0; i-- {

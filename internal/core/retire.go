@@ -181,6 +181,9 @@ func (e *Engine) finishRetire(s int32) {
 			h := e.lsq.pop()
 			w.flags[h] &^= fInLSQ
 			if h == s {
+				if w.inst[s].IsStore() {
+					e.lsqStores[granuleBucket(w.inst[s].Addr)]--
+				}
 				break
 			}
 			if !w.inst[h].IsLoad() {

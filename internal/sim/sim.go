@@ -538,16 +538,19 @@ func (s *Suite) shardFor(k string) *shard {
 // or edited configurations never collide across processes. Only the run
 // lengths and cycle budget of the options participate: Parallelism does
 // not affect results, and hashing it would make store lookups miss across
-// machines with different core counts. The schema label is v6: v3
+// machines with different core counts. The schema label is v7: v3
 // results predate checkpoint recovery, v4 results predate the detection
 // mode zoo — the hashed machine grew the lane/context/region fields and
 // Stats grew the MEEK and FLEX counters, so v4 records would resolve to
 // Results missing those fields. v5 FLEX results with faults may carry an
 // overcounted Stats.SilentCorruptions (an unverified faulty store counted
 // once per cycle it waited for a memory port), so a v5 store hit could
-// disagree with a fresh run.
+// disagree with a fresh run. v6 lockstep (no-stagger) SS2 results may
+// carry the issue cursor's double issue or deadlock: a budgeted run that
+// hung is stored as Hung with partial Stats, and one that finished may
+// have issued a slot twice.
 func digest(m config.Machine, p trace.Profile, opt Options) string {
-	return store.Digest("sim.Result.v6", m, p, opt.WarmupInstrs, opt.MeasureInstrs, opt.MaxCycles,
+	return store.Digest("sim.Result.v7", m, p, opt.WarmupInstrs, opt.MeasureInstrs, opt.MaxCycles,
 		opt.intervalCount())
 }
 
