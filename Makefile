@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full race bench bench-cycle bench-http bench-ckpt bench-baseline bench-gate fmt vet perfbench-vet examples cli-smoke engine-identity fuzz-smoke crash-test obs-smoke docs docs-check ci
+.PHONY: build test test-full race bench bench-cycle bench-http bench-ckpt bench-trace bench-baseline bench-gate fmt vet perfbench-vet examples cli-smoke engine-identity fuzz-smoke crash-test obs-smoke docs docs-check ci
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,15 @@ bench-http:
 # Record-only: no baseline entry or gate.
 bench-ckpt:
 	$(GO) test -json -bench='^BenchmarkCheckpoint$$' -benchtime=2000x -run='^$$' ./internal/core/
+
+# Trace layer: generating one correct-path instruction (Next), generating
+# and storing it on a tape (TapeBuild, with the tape's bytes per
+# instruction), and replaying it from a tape (CursorNext), as test2json
+# lines. One op is one instruction, so ns/op is ns per instruction; a
+# million of each run in well under a second. Record-only: no baseline
+# entry or gate.
+bench-trace:
+	$(GO) test -json -bench='^BenchmarkTrace$$' -benchtime=1000000x -run='^$$' ./internal/trace/
 
 # Regenerate the committed benchmark baseline: the Cycle micro-benchmark
 # at fixed iterations plus the 1x smoke pass over every benchmark
@@ -134,16 +143,23 @@ cli-smoke:
 # equivalence suite audits its fast loop); the issue-queue cursor test at
 # a ring tail of 0; and the lockstep SS2 seeds that once deadlocked. The
 # short suite runs equivalence on the memory-bound workload only; this
-# target covers all three (about 23 s on 2 vCPUs).
+# target covers all three (about 23 s on 2 vCPUs). The conformance suite
+# includes tape replay (TestConformanceTapeReplay); the suite-level tape
+# tests check that replayed results, ckpt@ recovery across a tape's end
+# included, equal runs on a fresh generator.
 engine-identity:
 	$(GO) test -count=1 -run 'TestFastForwardEquivalence|TestConformance|TestMaskCursorTailZero|TestSS2LockstepSeeds|TestAuditDetectsCorruption' ./internal/core/
+	$(GO) test -count=1 -run 'TestSuiteSharesTapes|TestTapeRecoveryIdentity' ./internal/sim/
 
 # Fuzz smoke: each native fuzz target for 10 s (go test -fuzz runs one
-# target in one package at a time): the machine-spec grammar's round trip
-# and the recovery-mode grammar's.
+# target in one package at a time): the machine-spec grammar's round trip,
+# the recovery-mode grammar's, the trace-file reader's, and tape cursors
+# against the generator.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecRoundTrip$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseMode$$' -fuzztime=10s ./internal/recovery/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadRecording$$' -fuzztime=10s ./internal/trace/
+	$(GO) test -run='^$$' -fuzz='^FuzzTapeCursor$$' -fuzztime=10s ./internal/trace/
 
 # Crash-recovery acceptance: SIGKILL a real shrecd mid-campaign and
 # assert the restarted server re-adopts the journaled job and finishes

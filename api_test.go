@@ -70,7 +70,8 @@ func TestClientSweep(t *testing.T) {
 	}
 	// The readback must not masquerade as cache hits: a fresh sweep is
 	// 4 runs, 0 hits, and repeating it reads the cache without counting.
-	want := Counters{Runs: 4, CacheMisses: 4}
+	// The two machines share each profile's tape: one build, one replay.
+	want := Counters{Runs: 4, CacheMisses: 4, TapeBuilds: 2, TapeHits: 2}
 	if got := c.Metrics().Counters; got != want {
 		t.Fatalf("counters after fresh sweep = %+v, want %+v", got, want)
 	}
@@ -413,7 +414,8 @@ func TestClientMetricsStages(t *testing.T) {
 	keys := slices.Sorted(maps.Keys(got))
 	want := []string{
 		"cache_hits", "cache_misses", "dedup_waits", "hits", "interval_runs", "recovery_runs",
-		"rollbacks", "runs", "stages", "store_errors", "store_hits", "warmup_shares",
+		"rollbacks", "runs", "stages", "store_errors", "store_hits", "tape_builds", "tape_hits",
+		"warmup_shares",
 	}
 	if !slices.Equal(keys, want) {
 		t.Fatalf("ClientMetrics JSON keys = %v, want %v", keys, want)

@@ -1,7 +1,8 @@
 // Command workloads characterizes the synthetic SPEC2K-like benchmark
 // suite: for each profile it reports the measured instruction mix, branch
 // behavior, and cache miss rates on the SS1 baseline, so the substitution
-// documented in DESIGN.md is inspectable.
+// of synthetic profiles for the paper's SimPoint traces, documented in the
+// internal/workload and internal/trace package comments, is inspectable.
 package main
 
 import (

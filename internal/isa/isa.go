@@ -181,6 +181,9 @@ func (in Inst) Validate() error {
 	if err := checkReg("src2", in.Src2); err != nil {
 		return err
 	}
+	if in.BranchKind > BranchIndirect {
+		return fmt.Errorf("invalid branch kind %d", in.BranchKind)
+	}
 	if in.IsBranch() != (in.BranchKind != BranchNone) {
 		return fmt.Errorf("branch kind %s inconsistent with class %s", in.BranchKind, in.Class)
 	}

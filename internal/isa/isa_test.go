@@ -104,11 +104,12 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{Class: OpClass(42)},
 		{Class: OpIALU, Dest: Inst{}.Dest + 127 + 1},
 		{Class: OpIALU, Dest: 1, Src1: -2},
-		{Class: OpIALU, Dest: 1, Src2: 127 - 127 - 2},            // -2: negative but not RegNone
-		{Class: OpBranch, BranchKind: BranchNone, Dest: RegNone}, // branch without kind
-		{Class: OpIALU, BranchKind: BranchCond, Dest: 1},         // kind without branch
-		{Class: OpBranch, BranchKind: BranchCond, Dest: 2},       // branch writing a register
-		{Class: OpStore, Dest: 2, Src1: 1, Src2: 3},              // store writing a register
+		{Class: OpIALU, Dest: 1, Src2: 127 - 127 - 2},               // -2: negative but not RegNone
+		{Class: OpBranch, BranchKind: BranchNone, Dest: RegNone},    // branch without kind
+		{Class: OpIALU, BranchKind: BranchCond, Dest: 1},            // kind without branch
+		{Class: OpBranch, BranchKind: BranchCond, Dest: 2},          // branch writing a register
+		{Class: OpStore, Dest: 2, Src1: 1, Src2: 3},                 // store writing a register
+		{Class: OpBranch, BranchKind: BranchKind(9), Dest: RegNone}, // no such branch kind
 	}
 	for i, in := range bad {
 		if err := in.Validate(); err == nil {

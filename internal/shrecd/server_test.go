@@ -343,6 +343,7 @@ func TestHealthz(t *testing.T) {
 	counters := []string{
 		"runs", "hits", "cache_hits", "cache_misses", "dedup_waits", "store_hits",
 		"store_errors", "warmup_shares", "interval_runs", "recovery_runs", "rollbacks",
+		"tape_builds", "tape_hits",
 	}
 	base := append([]string{"status", "uptime_s", "max_concurrent", "shed_requests"}, counters...)
 	rs, js := openJournalStores(t, t.TempDir())
@@ -426,6 +427,8 @@ func TestMetrics(t *testing.T) {
 		"shrecd_sim_interval_runs_total",
 		"shrecd_sim_recovery_runs_total",
 		"shrecd_sim_rollbacks_total",
+		"shrecd_sim_tape_builds_total",
+		"shrecd_sim_tape_hits_total",
 	}
 	if len(counters) != len(families) {
 		t.Fatalf("%d counters for %d pinned families: %v", len(counters), len(families), counters)

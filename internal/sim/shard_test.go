@@ -88,7 +88,7 @@ func TestCacheCounterSplit(t *testing.T) {
 	if _, err := s.Get(ctx, m, p); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.Counters(), (Counters{Runs: 1, Hits: 1, CacheHits: 1, CacheMisses: 1}); got != want {
+	if got, want := s.Counters(), (Counters{Runs: 1, Hits: 1, CacheHits: 1, CacheMisses: 1, TapeBuilds: 1}); got != want {
 		t.Fatalf("after warm get: %+v, want %+v", got, want)
 	}
 

@@ -129,6 +129,12 @@ func (r Result) CPI() float64 { return r.Stats.CPI() }
 // RunContext simulates one machine on one workload, checking ctx for
 // cancellation between engine step batches.
 func RunContext(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
+	return runOn(ctx, m, p, opt, nil)
+}
+
+// runOn is RunContext on an instruction source for p's streams: a contiguous
+// run reads them from src, and from a fresh generator when src is nil.
+func runOn(ctx context.Context, m config.Machine, p trace.Profile, opt Options, src trace.Source) (Result, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, fmt.Errorf("sim: %w", err)
 	}
@@ -141,7 +147,10 @@ func RunContext(ctx context.Context, m config.Machine, p trace.Profile, opt Opti
 		}
 		return runIntervals(ctx, m, p, opt)
 	}
-	e := core.New(m, trace.New(p))
+	if src == nil {
+		src = trace.New(p)
+	}
+	e := core.New(m, src)
 	if opt.WarmupInstrs > 0 {
 		if err := e.WarmupContext(ctx, opt.WarmupInstrs); err != nil {
 			return Result{}, fmt.Errorf("sim: warmup: %w", err)
@@ -333,9 +342,18 @@ type Suite struct {
 	cpMu sync.Mutex
 	cps  map[string]*cpEntry
 
+	// tapes caches each profile's correct-path stream for the cold
+	// contiguous runs, so the machines of a sweep replay one generation of
+	// it (see tapeFor). It is an LRU over tapeBudget bytes.
+	tapeMu    sync.Mutex
+	tapes     map[string]*tapeEntry
+	tapeBytes int    // bytes of the built tapes in tapes
+	tapeClock uint64 // LRU clock: bumped on every tape request
+
 	// The live counters behind Counters (documented there).
 	runs, cacheHits, cacheMiss, dedupWaits, storeHits, storeErrs atomic.Uint64
 	warmupShares, intervalRuns, recoveryRuns, rollbacks          atomic.Uint64
+	tapeBuilds, tapeHits                                         atomic.Uint64
 
 	// stages, when telemetry is attached, holds the sim_stage_seconds{stage}
 	// histogram family. All stage timing rides run boundaries — cache
@@ -352,12 +370,42 @@ type cpEntry struct {
 	err  error
 }
 
+// tapeEntry is one profile's tape, built once by the first requester while
+// duplicates wait on the sync.Once. used and bytes are guarded by the
+// suite's tapeMu; bytes stays 0 until the build succeeds.
+type tapeEntry struct {
+	once  sync.Once
+	tape  *trace.Tape
+	err   error
+	used  uint64
+	bytes int
+}
+
+// tapeBudget bounds the bytes of tapes a suite retains (trace.Tape.Bytes:
+// columns and generators). It holds a round of perfbench sweep tapes: four
+// profiles at 100k instructions, 4.9 MB together. The most recently
+// built tape is kept even when it alone exceeds the budget, as an
+// experiment-scale tape does (about 11 MB of columns at DefaultOptions),
+// so Batch replays each profile on every machine before it moves on.
+const tapeBudget = 6 << 20
+
+// tapeSlack is how far past a run's warmup and measured instructions its
+// tape reaches: instructions in flight when the run stops were fetched
+// from the stream too. A run that fetches further continues on the
+// generator saved at the tape's end, exactly.
+const tapeSlack = 4096
+
+// tapeMaxInstrs caps a tape's length (about 16 MB); longer runs continue
+// on the generator past its end.
+const tapeMaxInstrs = 1 << 21
+
 // NewSuite builds a suite with the given options.
 func NewSuite(opt Options) *Suite {
 	if opt.Parallelism <= 0 {
 		opt.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	s := &Suite{opt: opt, sem: make(chan struct{}, opt.Parallelism), cps: make(map[string]*cpEntry)}
+	s := &Suite{opt: opt, sem: make(chan struct{}, opt.Parallelism),
+		cps: make(map[string]*cpEntry), tapes: make(map[string]*tapeEntry)}
 	for i := range s.shards {
 		s.shards[i].results = make(map[string]Result)
 		s.shards[i].inflight = make(map[string]*call)
@@ -376,11 +424,11 @@ func (s *Suite) WithStore(st *store.Store) *Suite {
 // WithTelemetry attaches a metrics registry: the suite registers
 // sim_stage_seconds{stage} and times each pipeline stage into it —
 // cache_lookup, dedup_wait, store_fetch, store_write, warmup_share,
-// engine_run, and (via the context observer threaded into recovery)
-// recovery_rollback. Returns s for chaining.
+// tape_build, engine_run, and (via the context observer threaded into
+// recovery) recovery_rollback. Returns s for chaining.
 func (s *Suite) WithTelemetry(reg *telemetry.Registry) *Suite {
 	s.stages = reg.HistogramVec("sim_stage_seconds",
-		"Simulation pipeline stage durations: cache_lookup, dedup_wait, store_fetch, store_write, warmup_share, engine_run, recovery_rollback.",
+		"Simulation pipeline stage durations: cache_lookup, dedup_wait, store_fetch, store_write, warmup_share, tape_build, engine_run, recovery_rollback.",
 		telemetry.DefTimeBuckets(), "stage")
 	return s
 }
@@ -446,6 +494,10 @@ type Counters struct {
 	RecoveryRuns uint64 `json:"recovery_runs" help:"Runs executed under a checkpoint/rollback recovery policy."`
 	// Rollbacks counts checkpoint rollbacks across every recovery run.
 	Rollbacks uint64 `json:"rollbacks" help:"Checkpoint rollbacks across all recovery runs."`
+	// TapeBuilds counts correct-path tapes generated for cold contiguous
+	// runs; TapeHits counts cold runs that replayed a tape already built.
+	TapeBuilds uint64 `json:"tape_builds" help:"Correct-path tapes generated for cold runs."`
+	TapeHits   uint64 `json:"tape_hits" help:"Cold runs that replayed an already generated correct-path tape."`
 }
 
 // CounterField describes one Counters field by its tags.
@@ -502,6 +554,8 @@ func (s *Suite) Counters() Counters {
 		IntervalRuns: s.intervalRuns.Load(),
 		RecoveryRuns: s.recoveryRuns.Load(),
 		Rollbacks:    s.rollbacks.Load(),
+		TapeBuilds:   s.tapeBuilds.Load(),
+		TapeHits:     s.tapeHits.Load(),
 	}
 	c.Hits = c.CacheHits + c.DedupWaits + c.StoreHits
 	return c
@@ -701,10 +755,83 @@ func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile,
 			return res, err
 		}
 	}
+	var src trace.Source
+	if opt.intervalCount() == 1 {
+		if tape := s.tapeFor(ctx, p, opt); tape != nil {
+			src = tape.Cursor()
+		}
+	}
 	run := time.Now()
-	res, err := RunContext(ctx, m, p, opt)
+	res, err := runOn(ctx, m, p, opt, src)
 	s.observeStage(ctx, "engine_run", run)
 	return res, err
+}
+
+// tapeFor returns p's tape, building it on the first request (timed as the
+// tape_build stage) for a run at opt. It returns nil when the build failed,
+// dropping the entry as runFromWarmup does, so the caller runs on a fresh
+// generator and the next request rebuilds. The tape's length is set by
+// its first request; any run replays it exactly, continuing past its end
+// on the generator.
+func (s *Suite) tapeFor(ctx context.Context, p trace.Profile, opt Options) *trace.Tape {
+	k := store.Digest("sim.tape.v1", p)
+	s.tapeMu.Lock()
+	entry, ok := s.tapes[k]
+	if !ok {
+		entry = &tapeEntry{}
+		s.tapes[k] = entry
+	}
+	s.tapeClock++
+	entry.used = s.tapeClock
+	s.tapeMu.Unlock()
+
+	built := false
+	entry.once.Do(func() {
+		start := time.Now()
+		n := min(opt.WarmupInstrs+opt.MeasureInstrs+tapeSlack, tapeMaxInstrs)
+		entry.tape, entry.err = trace.BuildTape(ctx, p, int(n))
+		s.observeStage(ctx, "tape_build", start)
+		built = true
+	})
+	s.tapeMu.Lock()
+	defer s.tapeMu.Unlock()
+	if entry.err != nil {
+		if s.tapes[k] == entry {
+			delete(s.tapes, k)
+		}
+		return nil
+	}
+	if !built {
+		s.tapeHits.Add(1)
+		return entry.tape
+	}
+	s.tapeBuilds.Add(1)
+	if s.tapes[k] == entry {
+		entry.bytes = entry.tape.Bytes()
+		s.tapeBytes += entry.bytes
+		s.evictTapes(entry)
+	}
+	return entry.tape
+}
+
+// evictTapes drops least recently requested built tapes until the cache
+// fits tapeBudget, never dropping keep. Runs already replaying a dropped
+// tape hold it until they finish. The caller holds tapeMu.
+func (s *Suite) evictTapes(keep *tapeEntry) {
+	for s.tapeBytes > tapeBudget {
+		var lru string
+		var oldest *tapeEntry
+		for k, e := range s.tapes {
+			if e != keep && e.bytes > 0 && (oldest == nil || e.used < oldest.used) {
+				lru, oldest = k, e
+			}
+		}
+		if oldest == nil {
+			return
+		}
+		delete(s.tapes, lru)
+		s.tapeBytes -= oldest.bytes
+	}
 }
 
 // runFromWarmup serves one run from the shared warmup checkpoint. ok
@@ -774,20 +901,22 @@ func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Pro
 
 // Batch runs every (machine, profile) pair, in parallel, reusing cached
 // and in-flight results, and returns them in machines-major order:
-// results[i*len(profiles)+j] is machines[i] on profiles[j]. Unlike a
-// first-error fan-out, it waits for every worker and returns all
-// failures joined (see JoinFanOut), so one bad configuration does not
-// hide the others.
+// results[i*len(profiles)+j] is machines[i] on profiles[j]. It dispatches
+// the pairs profile-major to the suite's parallelism in workers, so every
+// machine replays a profile's tape before the tape cache moves on to the
+// next profile. Unlike a first-error fan-out, it waits for every worker
+// and returns all failures joined (see JoinFanOut), so one bad
+// configuration does not hide the others.
 func (s *Suite) Batch(ctx context.Context, machines []config.Machine, profiles []trace.Profile) ([]Result, error) {
 	type job struct {
 		i int // index into out
 		m config.Machine
 		p trace.Profile
 	}
-	out := make([]Result, 0, len(machines)*len(profiles))
+	out := make([]Result, len(machines)*len(profiles))
 	var jobs []job
-	for _, m := range machines {
-		for _, p := range profiles {
+	for j, p := range profiles {
+		for i, m := range machines {
 			// Read pairs already cached without counting a hit, so a warm
 			// batch spawns no goroutines and does not inflate the hit
 			// counter; races with concurrent fills are still covered by
@@ -797,26 +926,35 @@ func (s *Suite) Batch(ctx context.Context, machines []config.Machine, profiles [
 			sh.mu.Lock()
 			res, ok := sh.results[k]
 			sh.mu.Unlock()
+			o := i*len(profiles) + j
 			if !ok {
-				jobs = append(jobs, job{len(out), m, p})
+				jobs = append(jobs, job{o, m, p})
 			}
-			out = append(out, res)
+			out[o] = res
 		}
 	}
 
 	var wg sync.WaitGroup
+	var next atomic.Int64
 	errs := make([]error, len(jobs))
-	for i, j := range jobs {
+	for w := 0; w < min(s.opt.parallelism(), len(jobs)); w++ {
 		wg.Add(1)
-		go func(i int, j job) {
+		go func() {
 			defer wg.Done()
-			res, err := s.GetOpt(ctx, j.m, j.p, s.opt)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s on %s: %w", j.m.Name, j.p.Name, err)
-				return
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				j := jobs[i]
+				res, err := s.GetOpt(ctx, j.m, j.p, s.opt)
+				if err != nil {
+					errs[i] = fmt.Errorf("%s on %s: %w", j.m.Name, j.p.Name, err)
+					continue
+				}
+				out[j.i] = res
 			}
-			out[j.i] = res
-		}(i, j)
+		}()
 	}
 	wg.Wait()
 	if err := JoinFanOut(ctx, errs, func(done, total int) error {

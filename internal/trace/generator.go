@@ -197,12 +197,20 @@ func (g *Generator) Seq() uint64 { return g.seq }
 func (g *Generator) CloneSource() Source { return g.clone() }
 
 func (g *Generator) clone() *Generator {
+	c := g.cloneStream()
+	if g.wp != nil {
+		c.wp = g.wp.cloneStream()
+	}
+	return c
+}
+
+// cloneStream copies one stream's mutable state without its wrong-path
+// side stream.
+func (g *Generator) cloneStream() *Generator {
 	c := *g
 	c.r = g.r.Clone()
 	c.loopLeft = append([]int(nil), g.loopLeft...)
-	if g.wp != nil {
-		c.wp = g.wp.clone()
-	}
+	c.wp = nil
 	return &c
 }
 

@@ -179,7 +179,10 @@ func (r *Recording) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadRecording deserializes a trace written by WriteTo, validating every
-// record.
+// record. It accepts exactly what WriteTo writes: trailing bytes after the
+// last record are an error. The header's counts do not size any
+// allocation up front; the streams grow as records arrive, so a short
+// input that claims a huge trace fails at its end instead of allocating.
 func ReadRecording(rd io.Reader) (*Recording, error) {
 	br := bufio.NewReader(rd)
 	magic := make([]byte, len(traceMagic))
@@ -199,22 +202,36 @@ func ReadRecording(rd io.Reader) (*Recording, error) {
 	if n == 0 || n > sanity || nWrong > sanity {
 		return nil, fmt.Errorf("trace: implausible record counts %d/%d", n, nWrong)
 	}
-	r := &Recording{
-		insts: make([]isa.Inst, n),
-		wrong: make([]isa.Inst, nWrong),
+	r := &Recording{}
+	var err error
+	if r.insts, err = readRecords(br, n); err != nil {
+		return nil, err
 	}
-	var rec [fullRecordBytes]byte
-	for _, stream := range [][]isa.Inst{r.insts, r.wrong} {
-		for i := range stream {
-			if _, err := io.ReadFull(br, rec[:]); err != nil {
-				return nil, fmt.Errorf("trace: reading record: %w", err)
-			}
-			in := getRecord(rec[:])
-			if err := in.Validate(); err != nil {
-				return nil, fmt.Errorf("trace: record %d: %w", i, err)
-			}
-			stream[i] = in
+	if r.wrong, err = readRecords(br, nWrong); err != nil {
+		return nil, err
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err == nil {
+			return nil, fmt.Errorf("trace: trailing bytes after %d records", uint64(n)+uint64(nWrong))
 		}
+		return nil, fmt.Errorf("trace: reading past the records: %w", err)
 	}
 	return r, nil
+}
+
+// readRecords reads n validated records.
+func readRecords(br *bufio.Reader, n uint32) ([]isa.Inst, error) {
+	var out []isa.Inst
+	var rec [fullRecordBytes]byte
+	for i := uint32(0); i < n; i++ {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
+			return nil, fmt.Errorf("trace: reading record: %w", err)
+		}
+		in := getRecord(rec[:])
+		if err := in.Validate(); err != nil {
+			return nil, fmt.Errorf("trace: record %d: %w", i, err)
+		}
+		out = append(out, in)
+	}
+	return out, nil
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -130,4 +132,53 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := ReadRecording(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated body accepted")
 	}
+}
+
+// A header may claim up to 2^30 records of each stream, but the reader
+// allocates only as records arrive: a 16-byte input claiming the maximum
+// fails at its end having allocated next to nothing.
+func TestReadRecordingHugeHeaderAllocatesLittle(t *testing.T) {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:], 1<<30)
+	binary.LittleEndian.PutUint32(hdr[4:], 1<<30)
+	in := append([]byte(traceMagic), hdr[:]...)
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	if _, err := ReadRecording(bytes.NewReader(in)); err == nil {
+		t.Fatal("a header without records was accepted")
+	}
+	runtime.ReadMemStats(&ms1)
+	if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading a 16-byte trace allocated %d bytes", grew)
+	}
+}
+
+// FuzzReadRecording: every input is either rejected or written back by
+// WriteTo byte for byte.
+func FuzzReadRecording(f *testing.F) {
+	rec, err := Capture(New(testProfile()), 40, 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := rec.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:len(traceMagic)+8+fullRecordBytes])
+	f.Add(append(bytes.Clone(buf.Bytes()), 0))
+	f.Add([]byte(traceMagic + "\xff\xff\xff\x3f\xff\xff\xff\x3f"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, err := ReadRecording(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := r.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), in) {
+			t.Fatalf("round trip changed the trace:\n in:  %x\n out: %x", in, out.Bytes())
+		}
+	})
 }

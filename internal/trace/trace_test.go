@@ -311,10 +311,3 @@ func TestClassString(t *testing.T) {
 		t.Fatal("class strings wrong")
 	}
 }
-
-func BenchmarkGeneratorNext(b *testing.B) {
-	g := New(testProfile())
-	for i := 0; i < b.N; i++ {
-		_ = g.Next()
-	}
-}
