@@ -104,7 +104,6 @@ examples:
 	$(GO) vet ./examples/...
 	$(GO) build ./examples/...
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/interval-parallel
 	rm -rf pareto-explore.db
 	$(GO) run ./examples/pareto-explore
 	rm -rf pareto-explore.db
@@ -153,13 +152,14 @@ engine-identity:
 
 # Fuzz smoke: each native fuzz target for 10 s (go test -fuzz runs one
 # target in one package at a time): the machine-spec grammar's round trip,
-# the recovery-mode grammar's, the trace-file reader's, and tape cursors
-# against the generator.
+# the recovery-mode grammar's, the trace-file reader's, tape cursors
+# against the generator, and the result store's record decoder.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecRoundTrip$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseMode$$' -fuzztime=10s ./internal/recovery/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRecording$$' -fuzztime=10s ./internal/trace/
 	$(GO) test -run='^$$' -fuzz='^FuzzTapeCursor$$' -fuzztime=10s ./internal/trace/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=10s ./internal/store/
 
 # Crash-recovery acceptance: SIGKILL a real shrecd mid-campaign and
 # assert the restarted server re-adopts the journaled job and finishes

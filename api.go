@@ -84,7 +84,7 @@ type ReportRow = report.Row
 type ExperimentInfo = experiments.Info
 
 // NewReport builds an empty report for callers assembling their own
-// result tables (see examples/factor-sweep).
+// result tables (cmd/faultstudy builds its sweep table this way).
 func NewReport(name, title string) *Report { return report.New(name, title) }
 
 // WriteReportsCSV writes any number of reports as one tidy CSV stream
@@ -145,7 +145,6 @@ func MachineByName(name string) (Machine, error) { return config.ByName(name) }
 type clientConfig struct {
 	opt       Options
 	storePath string
-	cache     bool
 	// parallelism overrides opt.Parallelism when positive. Kept apart
 	// from opt so WithParallelism wins regardless of option order.
 	parallelism int
@@ -168,18 +167,9 @@ func WithStore(path string) ClientOption {
 	return func(c *clientConfig) { c.storePath = path }
 }
 
-// WithCache toggles the in-memory result cache (default on). With the
-// cache off, Simulate and SimulateProfile always run fresh, and Sweep and
-// Experiment still deduplicate within one call but retain nothing across
-// calls.
-func WithCache(enabled bool) ClientOption {
-	return func(c *clientConfig) { c.cache = enabled }
-}
-
 // WithParallelism bounds concurrently executing simulations (default:
 // GOMAXPROCS). It overrides the Parallelism field of WithOptions, in
-// any argument order, and also bounds interval-parallel runs (see
-// Options.Intervals). It does not affect results.
+// any argument order. It does not affect results.
 func WithParallelism(n int) ClientOption {
 	return func(c *clientConfig) { c.parallelism = n }
 }
@@ -221,52 +211,29 @@ type Client struct {
 	sims *sim.Suite
 	exp  *experiments.Suite
 	st   *store.Store
-	reg  *telemetry.Registry
 }
 
 // NewClient builds a client. The zero configuration uses DefaultOptions,
 // an in-memory cache, and no persistent store.
 func NewClient(opts ...ClientOption) (*Client, error) {
-	cfg := clientConfig{opt: DefaultOptions(), cache: true}
+	cfg := clientConfig{opt: DefaultOptions()}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.parallelism > 0 {
 		cfg.opt.Parallelism = cfg.parallelism
 	}
-	c := &Client{cfg: cfg, reg: telemetry.NewRegistry()}
+	c := &Client{cfg: cfg, sims: sim.NewSuite(cfg.opt).WithTelemetry(telemetry.NewRegistry())}
 	if cfg.storePath != "" {
 		st, err := store.Open(cfg.storePath)
 		if err != nil {
 			return nil, fmt.Errorf("repro: opening store: %w", err)
 		}
 		c.st = st
+		c.sims.WithStore(st)
 	}
-	if cfg.cache {
-		c.sims = c.newSuite()
-		c.exp = experiments.NewSuite(c.sims)
-	}
+	c.exp = experiments.NewSuite(c.sims)
 	return c, nil
-}
-
-// newSuite builds a simulation suite honoring the client's store. Every
-// suite — the shared one and cache-off transients — attaches the
-// client's registry, so stage timings accumulate in one place either
-// way (registration is idempotent; the suites share one histogram).
-func (c *Client) newSuite() *sim.Suite {
-	s := sim.NewSuite(c.cfg.opt).WithTelemetry(c.reg)
-	if c.st != nil {
-		s.WithStore(c.st)
-	}
-	return s
-}
-
-// suite returns the shared suite, or a transient one when caching is off.
-func (c *Client) suite() *sim.Suite {
-	if c.sims != nil {
-		return c.sims
-	}
-	return c.newSuite()
 }
 
 // Close releases the client's persistent store, if any.
@@ -289,11 +256,9 @@ func (c *Client) Simulate(ctx context.Context, m Machine, benchmark string) (Res
 	return c.SimulateProfile(ctx, m, p)
 }
 
-// SimulateProfile runs a custom workload profile on machine m. With the
-// cache off it still routes through a transient suite, so an attached
-// persistent store is consulted and written back either way.
+// SimulateProfile runs a custom workload profile on machine m.
 func (c *Client) SimulateProfile(ctx context.Context, m Machine, p Profile) (Result, error) {
-	return c.suite().Get(ctx, m, p)
+	return c.sims.Get(ctx, m, p)
 }
 
 // Sweep fans out every (machine, profile) pair in parallel — duplicate
@@ -302,33 +267,23 @@ func (c *Client) SimulateProfile(ctx context.Context, m Machine, p Profile) (Res
 // profiles[j]. Partial failures abort the sweep with every failure
 // joined into one error.
 func (c *Client) Sweep(ctx context.Context, machines []Machine, profiles []Profile) ([]Result, error) {
-	return c.suite().Batch(ctx, machines, profiles)
+	return c.sims.Batch(ctx, machines, profiles)
 }
 
 // Experiment regenerates one of the paper's tables or figures as a typed
 // report (see ExperimentNames for the catalog).
 func (c *Client) Experiment(ctx context.Context, name string) (*Report, error) {
-	exp := c.exp
-	if exp == nil {
-		exp = experiments.NewSuite(c.newSuite())
-	}
-	return exp.Run(ctx, name)
+	return c.exp.Run(ctx, name)
 }
 
 // Results snapshots every result currently cached by the client, sorted
 // by machine then benchmark.
 func (c *Client) Results() []Result {
-	if c.sims == nil {
-		return nil
-	}
 	return c.sims.Results()
 }
 
 // Metrics snapshots the client's cache counters.
 func (c *Client) Metrics() ClientMetrics {
-	if c.sims == nil {
-		return ClientMetrics{}
-	}
 	return ClientMetrics{
 		Counters: c.sims.Counters(),
 		Stages:   stageSummaries(c.sims.StageSnapshots()),

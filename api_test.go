@@ -141,26 +141,6 @@ func TestClientStore(t *testing.T) {
 	}
 }
 
-func TestClientWithoutCache(t *testing.T) {
-	c, err := NewClient(WithOptions(testClientOptions), WithCache(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if _, err := c.Simulate(ctx, SS1(), "swim"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m := c.Metrics(); m.Runs != 0 || m.Hits != 0 {
-		t.Fatalf("cacheless client tracked metrics: %+v", m)
-	}
-	if c.Results() != nil {
-		t.Fatal("cacheless client retained results")
-	}
-}
-
 func mustProfile(t *testing.T, name string) Profile {
 	t.Helper()
 	p, err := WorkloadByName(name)
@@ -413,7 +393,7 @@ func TestClientMetricsStages(t *testing.T) {
 	}
 	keys := slices.Sorted(maps.Keys(got))
 	want := []string{
-		"cache_hits", "cache_misses", "dedup_waits", "hits", "interval_runs", "recovery_runs",
+		"cache_hits", "cache_misses", "dedup_waits", "hits", "recovery_runs",
 		"rollbacks", "runs", "stages", "store_errors", "store_hits", "tape_builds", "tape_hits",
 		"warmup_shares",
 	}

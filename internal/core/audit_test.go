@@ -80,6 +80,22 @@ func (e *Engine) audit() error {
 		}
 	}
 
+	// SS2 pair links are symmetric: a live slot's live partner points back
+	// at it and carries the same program-order index.
+	for i := int32(0); i < w.n; i++ {
+		s := w.ringSlot(i)
+		r := w.pair[s]
+		if !w.live(r) {
+			continue
+		}
+		if back := w.pair[r.slot]; back.slot != s || back.gen != w.gen[s] {
+			return fmt.Errorf("slot %d pairs with %d, which pairs with %d", s, r.slot, back.slot)
+		}
+		if w.seq[r.slot] != w.seq[s] {
+			return fmt.Errorf("paired slots %d and %d hold seq %d and %d", s, r.slot, w.seq[s], w.seq[r.slot])
+		}
+	}
+
 	if n := e.robM.len() + e.robR.len() + e.pendingR.len(); n != int(w.n) {
 		return fmt.Errorf("robM, robR and pendingR hold %d slots, the ring %d", n, w.n)
 	}
@@ -155,20 +171,32 @@ func warmAudited(t testing.TB, e *Engine, n uint64) {
 
 // The auditor must notice each kind of corruption it guards against.
 func TestAuditDetectsCorruption(t *testing.T) {
-	for name, corrupt := range map[string]func(e *Engine){
-		"isqCount":        func(e *Engine) { e.w.isqCount[ThreadM]++ },
-		"lsqStores":       func(e *Engine) { e.lsqStores[0]++ },
-		"dead ready slot": func(e *Engine) { e.w.setReady(e.w.tail) },
-		"ready and asleep": func(e *Engine) {
+	ss2 := config.SS2(config.Factors{S: true})
+	for name, c := range map[string]struct {
+		m       config.Machine
+		corrupt func(e *Engine)
+	}{
+		"isqCount":        {config.SS1(), func(e *Engine) { e.w.isqCount[ThreadM]++ }},
+		"lsqStores":       {config.SS1(), func(e *Engine) { e.lsqStores[0]++ }},
+		"dead ready slot": {config.SS1(), func(e *Engine) { e.w.setReady(e.w.tail) }},
+		"ready and asleep": {config.SS1(), func(e *Engine) {
 			s := e.w.ringSlot(0)
 			e.w.ready[s>>6] |= 1 << (uint(s) & 63)
 			e.w.sleep[s>>6] |= 1 << (uint(s) & 63)
-		},
+		}},
+		"one-sided pair": {ss2, func(e *Engine) {
+			for i := int32(0); i < e.w.n; i++ {
+				if s := e.w.ringSlot(i); e.w.live(e.w.pair[s]) {
+					e.w.pair[e.w.pair[s].slot] = noRef
+					return
+				}
+			}
+		}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			e := New(config.SS1(), trace.New(memWorkload(3)))
+			e := New(c.m, trace.New(memWorkload(3)))
 			runAudited(t, e, 2000, false)
-			corrupt(e)
+			c.corrupt(e)
 			if e.audit() == nil {
 				t.Fatal("audit passed a corrupted engine")
 			}

@@ -17,9 +17,9 @@ var ErrNoCloneSource = errors.New("core: instruction source does not implement t
 // cache contents and in-flight misses, functional-unit occupancy, and the
 // whole pipeline window. A checkpoint is inert — it never advances — and a
 // single checkpoint can seed any number of engines via NewEngine, which is
-// what makes warmup sharing across fault-campaign trials and interval-
-// parallel simulation sound: every engine spawned from the same checkpoint
-// replays the identical future.
+// what makes warmup sharing across fault-campaign trials and checkpoint
+// recovery sound: every engine spawned from the same checkpoint replays the
+// identical future.
 type Checkpoint struct {
 	e *Engine
 }

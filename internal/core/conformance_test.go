@@ -21,9 +21,8 @@ import (
 //     replay byte-identical futures;
 //  3. chunked-run stitch identity: RunExact boundaries compose — many
 //     short exact runs equal one contiguous run in stream, signature,
-//     cycles, and event counts (the core-level half of interval-parallel
-//     stitching; the sim-level half lives in internal/sim's interval
-//     tests);
+//     cycles, and event counts (checkpoint recovery runs the measured
+//     phase interval by interval on exactly these boundaries);
 //  4. fault-free ArchSig agreement with SS1: every mode commits the same
 //     architectural stream, so redundancy must never perturb the
 //     retirement signature;

@@ -239,46 +239,6 @@ type Stats struct {
 	ArchSig uint64
 }
 
-// Add accumulates other's counters into s field-wise. Cycle-derived sums
-// add, ArchSig is NOT combined here (interval stitching folds signatures
-// in order; see sim), so Add leaves s.ArchSig untouched.
-func (s *Stats) Add(other Stats) {
-	sig := s.ArchSig
-	s.Cycles += other.Cycles
-	s.Retired += other.Retired
-	s.Fetched += other.Fetched
-	s.WrongPathFetched += other.WrongPathFetched
-	s.CondBranches += other.CondBranches
-	s.Mispredicts += other.Mispredicts
-	s.BTBBubbles += other.BTBBubbles
-	s.Squashes += other.Squashes
-	s.SoftExceptions += other.SoftExceptions
-	s.FaultsInjected += other.FaultsInjected
-	s.FaultsDetected += other.FaultsDetected
-	s.SilentCorruptions += other.SilentCorruptions
-	s.FaultDetectLatencySum += other.FaultDetectLatencySum
-	s.FaultsSquashed += other.FaultsSquashed
-	s.IssuedM += other.IssuedM
-	s.IssuedR += other.IssuedR
-	s.IssuedChecker += other.IssuedChecker
-	s.LoadForwards += other.LoadForwards
-	s.RetireStoreStalls += other.RetireStoreStalls
-	s.ROBOccSum += other.ROBOccSum
-	s.ISQOccSum += other.ISQOccSum
-	s.LSQOccSum += other.LSQOccSum
-	s.StaggerSum += other.StaggerSum
-	s.MSHROccSum += other.MSHROccSum
-	s.LoadIssueWaitSum += other.LoadIssueWaitSum
-	s.LoadCount += other.LoadCount
-	s.MeekLogOccSum += other.MeekLogOccSum
-	s.MeekLagSum += other.MeekLagSum
-	s.MeekLogStalls += other.MeekLogStalls
-	s.CheckerCtxSwitches += other.CheckerCtxSwitches
-	s.FlexOnRetired += other.FlexOnRetired
-	s.FaultsInjectedUnchecked += other.FaultsInjectedUnchecked
-	s.ArchSig = sig
-}
-
 // AvgMeekLag returns the mean completion-to-verification lag of MEEK
 // lane-checked instructions.
 func (s Stats) AvgMeekLag() float64 {

@@ -118,7 +118,7 @@ func (p Policy) Apply(m config.Machine) config.Machine {
 
 // String renders the canonical mode string: "none" for a disabled policy,
 // otherwise "ckpt@<interval>" with "+depth<n>"/"+flush<n>"/"+restore<n>"
-// for fields that differ from the defaults. Intervals render with the
+// for fields that differ from the defaults. The interval renders with the
 // largest exact 1024-multiple suffix ("ckpt@64k"), matching the machine
 // spec grammar. ParseMode inverts String for every normalized policy.
 func (p Policy) String() string {

@@ -342,7 +342,7 @@ func TestResultsEndpoint(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	counters := []string{
 		"runs", "hits", "cache_hits", "cache_misses", "dedup_waits", "store_hits",
-		"store_errors", "warmup_shares", "interval_runs", "recovery_runs", "rollbacks",
+		"store_errors", "warmup_shares", "recovery_runs", "rollbacks",
 		"tape_builds", "tape_hits",
 	}
 	base := append([]string{"status", "uptime_s", "max_concurrent", "shed_requests"}, counters...)
@@ -424,7 +424,6 @@ func TestMetrics(t *testing.T) {
 		"shrecd_sim_store_hits_total",
 		"shrecd_sim_store_errors_total",
 		"shrecd_sim_warmup_shares_total",
-		"shrecd_sim_interval_runs_total",
 		"shrecd_sim_recovery_runs_total",
 		"shrecd_sim_rollbacks_total",
 		"shrecd_sim_tape_builds_total",

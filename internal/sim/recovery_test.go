@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -179,20 +178,5 @@ func TestRecoveryKeySemantics(t *testing.T) {
 	c.Name = a.Name
 	if key(a, p, tinyOpts()) == key(c, p, tinyOpts()) {
 		t.Error("distinct checkpoint depths collided on the cache key")
-	}
-}
-
-// TestIntervalParallelRejectsRecovery pins the guard: rollback cannot
-// cross independently simulated interval boundaries, so the combination
-// is an error, not an approximation.
-func TestIntervalParallelRejectsRecovery(t *testing.T) {
-	p := workload.All()[0]
-	opt := Options{WarmupInstrs: 1000, MeasureInstrs: 8000, Intervals: 4}
-	_, err := RunContext(context.Background(), recoveryTrial(1), p, opt)
-	if err == nil {
-		t.Fatal("interval-parallel run with checkpoint recovery was accepted")
-	}
-	if !strings.Contains(err.Error(), "checkpoint recovery") {
-		t.Errorf("unhelpful error: %v", err)
 	}
 }

@@ -40,19 +40,6 @@ type Options struct {
 	WarmupInstrs uint64
 	// MeasureInstrs are executed with counters enabled.
 	MeasureInstrs uint64
-	// Intervals, when > 1, splits the measured phase into that many
-	// consecutive regions of the instruction stream, each simulated by an
-	// independent engine (fresh microarchitectural state, own
-	// WarmupInstrs warmup) and stitched back together in stream order.
-	// The intervals are independent, so they run concurrently under
-	// Parallelism — this is the interval-parallel mode. It is a sampled
-	// estimator in the SimPoint tradition, not the contiguous run: each
-	// interval re-warms instead of inheriting state, so results differ
-	// slightly from Intervals <= 1 (which is the exact classic path) and
-	// the two never share cache entries. Stitched results are fully
-	// deterministic and independent of Parallelism. MaxCycles, when set,
-	// is divided evenly across intervals.
-	Intervals int
 	// Parallelism bounds concurrent simulations (default: GOMAXPROCS).
 	// It does not affect results and is excluded from cache keys.
 	Parallelism int
@@ -61,15 +48,6 @@ type Options struct {
 	// stops early and returns a Result with Hung set instead of an error.
 	// Fault campaigns use it to classify recovery livelocks.
 	MaxCycles int64
-}
-
-// intervalCount returns the effective interval count: 0 and 1 both select
-// the classic contiguous run.
-func (o Options) intervalCount() int {
-	if o.Intervals > 1 {
-		return o.Intervals
-	}
-	return 1
 }
 
 // parallelism returns the effective worker bound.
@@ -138,15 +116,6 @@ func runOn(ctx context.Context, m config.Machine, p trace.Profile, opt Options, 
 	if err := m.Validate(); err != nil {
 		return Result{}, fmt.Errorf("sim: %w", err)
 	}
-	if opt.intervalCount() > 1 {
-		if m.CkptInterval > 0 {
-			// Rollback would need to cross interval boundaries that were
-			// simulated independently; the combination is rejected rather
-			// than silently approximated.
-			return Result{}, fmt.Errorf("sim: %s: interval-parallel simulation cannot model checkpoint recovery", m.Name)
-		}
-		return runIntervals(ctx, m, p, opt)
-	}
 	if src == nil {
 		src = trace.New(p)
 	}
@@ -163,38 +132,31 @@ func runOn(ctx context.Context, m config.Machine, p trace.Profile, opt Options, 
 	return newResult(m, p, opt, st, tr, hung), nil
 }
 
-// measure runs the counted phase on a warmed engine and classifies a blown
-// cycle budget as a hang rather than a driver failure: the partial
-// counters return with hung set, so the result caches and persists like
-// any other and a resumed campaign never re-simulates the hang.
-func measure(ctx context.Context, e *core.Engine, n uint64, maxCycles int64) (core.Stats, bool, error) {
-	st, err := e.RunBudget(ctx, n, maxCycles)
-	if err != nil {
-		if !errors.Is(err, core.ErrCycleBudget) {
-			return core.Stats{}, false, fmt.Errorf("sim: %w", err)
-		}
-		return st, true, nil
-	}
-	return st, false, nil
-}
-
-// measureOrRecover is measure for machines with a checkpoint interval
-// configured: the counted phase runs under recovery.Run, which wraps it in
-// periodic checkpoints and rolls detected faults back. The returned trace
-// is nil exactly when recovery is disabled.
+// measureOrRecover runs the counted phase on a warmed engine: under
+// recovery.Run, which wraps it in periodic checkpoints and rolls detected
+// faults back, when m has a checkpoint interval, and plainly otherwise. The
+// returned trace is nil exactly when recovery is disabled. A blown cycle
+// budget is a hang rather than a driver failure: the partial counters
+// return with hung set, so the result caches and persists like any other
+// and a resumed campaign never re-simulates the hang.
 func measureOrRecover(ctx context.Context, e *core.Engine, m config.Machine, n uint64, maxCycles int64) (core.Stats, *recovery.Trace, bool, error) {
+	var st core.Stats
+	var tr *recovery.Trace
+	var err error
 	if m.CkptInterval == 0 {
-		st, hung, err := measure(ctx, e, n, maxCycles)
-		return st, nil, hung, err
+		st, err = e.RunBudget(ctx, n, maxCycles)
+	} else {
+		var t recovery.Trace
+		st, t, err = recovery.Run(ctx, e, n, maxCycles, m.CkptInterval, m.CkptDepth)
+		tr = &t
 	}
-	st, tr, err := recovery.Run(ctx, e, n, maxCycles, m.CkptInterval, m.CkptDepth)
 	if err != nil {
 		if !errors.Is(err, core.ErrCycleBudget) {
 			return core.Stats{}, nil, false, fmt.Errorf("sim: %w", err)
 		}
-		return st, &tr, true, nil
+		return st, tr, true, nil
 	}
-	return st, &tr, false, nil
+	return st, tr, false, nil
 }
 
 func newResult(m config.Machine, p trace.Profile, opt Options, st core.Stats, tr *recovery.Trace, hung bool) Result {
@@ -208,100 +170,6 @@ func newResult(m config.Machine, p trace.Profile, opt Options, st core.Stats, tr
 		Stats:     st,
 		Recovery:  tr,
 	}
-}
-
-// sigOffsetBasis seeds the interval-signature fold (the FNV-1a offset
-// basis; the multiplier below is the FNV-1a prime).
-const (
-	sigOffsetBasis = 14695981039346656037
-	sigPrime       = 1099511628211
-)
-
-// runIntervals is the interval-parallel simulation path: the measured
-// phase splits into opt.Intervals consecutive regions of the instruction
-// stream, each simulated by an independent engine over a fresh generator
-// fast-skipped to the region start, warmed for WarmupInstrs, and measured
-// for its share. Intervals run concurrently under opt.Parallelism, then
-// stitch in stream order: counters via Stats.Add, architectural
-// signatures via an order-sensitive fold, Hung by OR. Because intervals
-// share no state, the stitched result is byte-identical no matter how
-// many workers ran — the equivalence tests pin parallel == sequential.
-func runIntervals(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
-	k := opt.intervalCount()
-	per := opt.MeasureInstrs / uint64(k)
-	if per == 0 {
-		return Result{}, fmt.Errorf("sim: %d intervals need at least %d measured instructions, have %d",
-			k, k, opt.MeasureInstrs)
-	}
-	budget := opt.MaxCycles
-	if budget > 0 {
-		if budget /= int64(k); budget == 0 {
-			budget = 1
-		}
-	}
-
-	stats := make([]core.Stats, k)
-	hungs := make([]bool, k)
-	errs := make([]error, k)
-	par := opt.parallelism()
-	if par > k {
-		par = k
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				errs[i] = ctx.Err()
-				return
-			}
-			n := per
-			if i == k-1 {
-				// The last interval absorbs the division remainder so the
-				// stitched run measures exactly MeasureInstrs.
-				n = opt.MeasureInstrs - per*uint64(k-1)
-			}
-			stats[i], hungs[i], errs[i] = runInterval(ctx, m, p, uint64(i)*per, opt.WarmupInstrs, n, budget)
-		}(i)
-	}
-	wg.Wait()
-
-	var agg core.Stats
-	sig := uint64(sigOffsetBasis)
-	hung := false
-	for i := 0; i < k; i++ {
-		if errs[i] != nil {
-			return Result{}, fmt.Errorf("sim: interval %d of %d: %w", i, k, errs[i])
-		}
-		agg.Add(stats[i])
-		sig = (sig ^ stats[i].ArchSig) * sigPrime
-		hung = hung || hungs[i]
-	}
-	agg.ArchSig = sig
-	return newResult(m, p, opt, agg, nil, hung), nil
-}
-
-// runInterval simulates one region: fast-skip the generator to the region
-// start, warm, measure.
-func runInterval(ctx context.Context, m config.Machine, p trace.Profile, skip, warm, n uint64, budget int64) (core.Stats, bool, error) {
-	src := trace.New(p)
-	for j := uint64(0); j < skip; j++ {
-		src.Next()
-		if j&0xffff == 0xffff && ctx.Err() != nil {
-			return core.Stats{}, false, ctx.Err()
-		}
-	}
-	e := core.New(m, src)
-	if warm > 0 {
-		if err := e.WarmupContext(ctx, warm); err != nil {
-			return core.Stats{}, false, fmt.Errorf("sim: warmup: %w", err)
-		}
-	}
-	return measure(ctx, e, n, budget)
 }
 
 // numShards stripes the result cache. A modest power of two keeps the
@@ -352,8 +220,7 @@ type Suite struct {
 
 	// The live counters behind Counters (documented there).
 	runs, cacheHits, cacheMiss, dedupWaits, storeHits, storeErrs atomic.Uint64
-	warmupShares, intervalRuns, recoveryRuns, rollbacks          atomic.Uint64
-	tapeBuilds, tapeHits                                         atomic.Uint64
+	warmupShares, recoveryRuns, rollbacks, tapeBuilds, tapeHits  atomic.Uint64
 
 	// stages, when telemetry is attached, holds the sim_stage_seconds{stage}
 	// histogram family. All stage timing rides run boundaries — cache
@@ -486,9 +353,6 @@ type Counters struct {
 	// shared fault-free warmup checkpoint (fault-campaign trials whose
 	// injection window starts after the warmup).
 	WarmupShares uint64 `json:"warmup_shares" help:"Runs that resumed from a shared warmup checkpoint instead of re-warming."`
-	// IntervalRuns counts executed runs that took the interval-parallel
-	// path (Options.Intervals > 1).
-	IntervalRuns uint64 `json:"interval_runs" help:"Runs executed interval-parallel."`
 	// RecoveryRuns counts executed runs simulated under checkpoint
 	// recovery (a machine with CkptInterval set).
 	RecoveryRuns uint64 `json:"recovery_runs" help:"Runs executed under a checkpoint/rollback recovery policy."`
@@ -551,7 +415,6 @@ func (s *Suite) Counters() Counters {
 		StoreHits:    s.storeHits.Load(),
 		StoreErrors:  s.storeErrs.Load(),
 		WarmupShares: s.warmupShares.Load(),
-		IntervalRuns: s.intervalRuns.Load(),
 		RecoveryRuns: s.recoveryRuns.Load(),
 		Rollbacks:    s.rollbacks.Load(),
 		TapeBuilds:   s.tapeBuilds.Load(),
@@ -572,13 +435,11 @@ func (s *Suite) StoreHits() uint64 { return s.Counters().StoreHits }
 // fields: a campaign fans out hundreds of trials that differ only in
 // FaultSeed and window (or only in recovery policy), which must not
 // collide on the shared display name.
-// The interval count is keyed through intervalCount, so 0 and 1 (both the
-// classic contiguous run) share entries while sampled splits stay apart.
 func key(m config.Machine, p trace.Profile, opt Options) string {
-	return fmt.Sprintf("%s\x00%s\x00%d\x00%d\x00%d\x00%g\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d",
+	return fmt.Sprintf("%s\x00%s\x00%d\x00%d\x00%d\x00%g\x00%d\x00%d\x00%d\x00%d\x00%d",
 		m.Name, p.Name, opt.WarmupInstrs, opt.MeasureInstrs, opt.MaxCycles,
 		m.FaultRate, m.FaultSeed, m.FaultWindowLo, m.FaultWindowHi,
-		opt.intervalCount(), m.CkptInterval, m.CkptDepth)
+		m.CkptInterval, m.CkptDepth)
 }
 
 func (s *Suite) shardFor(k string) *shard {
@@ -602,10 +463,12 @@ func (s *Suite) shardFor(k string) *shard {
 // disagree with a fresh run. v6 lockstep (no-stagger) SS2 results may
 // carry the issue cursor's double issue or deadlock: a budgeted run that
 // hung is stored as Hung with partial Stats, and one that finished may
-// have issued a slot twice.
+// have issued a slot twice. The trailing literal 1 is the interval count
+// every exact run hashed when the options still carried a sampled-interval
+// mode; keeping it in place keeps persisted sim.Result.v7 records served
+// (TestDigestStable pins the keys).
 func digest(m config.Machine, p trace.Profile, opt Options) string {
-	return store.Digest("sim.Result.v7", m, p, opt.WarmupInstrs, opt.MeasureInstrs, opt.MaxCycles,
-		opt.intervalCount())
+	return store.Digest("sim.Result.v7", m, p, opt.WarmupInstrs, opt.MeasureInstrs, opt.MaxCycles, 1)
 }
 
 // Get returns the cached result, running the simulation if needed.
@@ -715,9 +578,6 @@ func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, 
 		return Result{}, false, err
 	}
 	s.runs.Add(1)
-	if opt.intervalCount() > 1 {
-		s.intervalRuns.Add(1)
-	}
 	if res.Recovery != nil {
 		s.recoveryRuns.Add(1)
 		s.rollbacks.Add(res.Recovery.Rollbacks)
@@ -740,8 +600,7 @@ func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, 
 // warmup-checkpoint cache when that is provably equivalent to a cold
 // start, and everything else through RunContext.
 func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
-	// Sharing is sound only for the classic contiguous path with a warmup
-	// to share. It applies to machines that inject faults, whose window
+	// Sharing needs a warmup to share. It applies to machines that inject faults, whose window
 	// cannot open during the warmup (FetchSeq runs ahead of the retired
 	// count, so the precise bound is rechecked against the built
 	// checkpoint below), and to fault-free machines with a checkpoint
@@ -750,16 +609,14 @@ func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile,
 	// go cold, so a plain sweep pins no checkpoint for the suite's life.
 	faultTrial := m.FaultRate > 0 && m.FaultWindowLo >= opt.WarmupInstrs
 	recoveryGolden := m.FaultRate == 0 && m.CkptInterval > 0
-	if opt.intervalCount() == 1 && opt.WarmupInstrs > 0 && (faultTrial || recoveryGolden) {
+	if opt.WarmupInstrs > 0 && (faultTrial || recoveryGolden) {
 		if res, ok, err := s.runFromWarmup(ctx, m, p, opt); err != nil || ok {
 			return res, err
 		}
 	}
 	var src trace.Source
-	if opt.intervalCount() == 1 {
-		if tape := s.tapeFor(ctx, p, opt); tape != nil {
-			src = tape.Cursor()
-		}
+	if tape := s.tapeFor(ctx, p, opt); tape != nil {
+		src = tape.Cursor()
 	}
 	run := time.Now()
 	res, err := runOn(ctx, m, p, opt, src)

@@ -121,7 +121,7 @@ func (j *Job[S, P, R]) Cancel() { j.cancel() }
 // canceled or interrupted campaign resumes where it left off instead of
 // re-simulating.
 func (c *Client) StartCampaign(ctx context.Context, spec CampaignSpec, opts ...JobOption[CampaignProgress]) *CampaignJob {
-	eng := campaign.New(c.suite())
+	eng := campaign.New(c.sims)
 	return startJob[CampaignSpec, CampaignProgress, CampaignResult](ctx, spec, opts,
 		func(ctx context.Context, progress func(CampaignProgress)) (*CampaignResult, error) {
 			return eng.Run(ctx, spec, progress)
@@ -137,7 +137,7 @@ func (c *Client) StartCampaign(ctx context.Context, spec CampaignSpec, opts ...J
 // or interrupted exploration resumes where it left off instead of
 // re-simulating.
 func (c *Client) StartExplore(ctx context.Context, spec ExploreSpec, opts ...JobOption[ExploreProgress]) *ExploreJob {
-	eng := explore.New(c.suite())
+	eng := explore.New(c.sims)
 	return startJob[ExploreSpec, ExploreProgress, ExploreResult](ctx, spec, opts,
 		func(ctx context.Context, progress func(ExploreProgress)) (*ExploreResult, error) {
 			return eng.Run(ctx, spec, progress)
