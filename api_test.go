@@ -393,7 +393,7 @@ func TestClientMetricsStages(t *testing.T) {
 	}
 	keys := slices.Sorted(maps.Keys(got))
 	want := []string{
-		"cache_hits", "cache_misses", "dedup_waits", "hits", "recovery_runs",
+		"cache_hits", "cache_misses", "clean_skips", "dedup_waits", "hits", "recovery_runs",
 		"rollbacks", "runs", "stages", "store_errors", "store_hits", "tape_builds", "tape_hits",
 		"warmup_shares",
 	}

@@ -27,17 +27,30 @@
 // A trial is a pure function of its machine, workload and options, so a
 // killed campaign rerun over the same store picks up where it left off:
 // every finished trial is a store hit, and Result.Resumed counts exactly
-// how many trials were served without simulating.
+// how many trials were served without computing them.
+//
+// Clean trials cost no simulation. A trial runs bit-identically to the
+// golden run until its injector first fires, and the injector draws once
+// per injection site in the window, so the golden run counts those sites
+// (sim.Suite.FetchGolden) and core.FirstFaultSite finds from each trial's
+// seed whether it fires before the count runs out. A trial that never
+// fires, and whose cycle budget the golden run fits, is derived from the
+// golden run (sim.Suite.Derive): the same result bytes, cached and stored
+// under the trial's own key, without simulating. When the count is
+// unknown, as for a golden run served from the store, every trial
+// simulates.
 package campaign
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/recovery"
 	"repro/internal/report"
 	"repro/internal/rng"
@@ -300,8 +313,9 @@ type Result struct {
 	// Trials holds every trial record, ordered by index.
 	Trials []Trial `json:"trials"`
 	// Resumed counts trials served from the suite's cache or store;
-	// Executed counts trials actually simulated by this run. They sum to
-	// len(Trials), which is how resumption is verified.
+	// Executed counts trials computed by this run (simulated or derived
+	// from the golden run). They sum to len(Trials), which is how
+	// resumption is verified.
 	Resumed  int `json:"resumed"`
 	Executed int `json:"executed"`
 }
@@ -759,9 +773,12 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 	// the campaign's run lengths. It defines the architectural signature
 	// trials must match and the cycle budget of the hang watchdog. Shared
 	// through the suite, so repeated campaigns (and ordinary experiments
-	// at the same scale) reuse it.
+	// at the same scale) reuse it. It also counts the injection sites in
+	// the trials' window, which decides the clean trials.
+	lo := ns.WarmupInstrs + fetchHorizon(m) + ns.WindowLo
+	hi := ns.WarmupInstrs + ns.WindowHi
 	goldenStart := time.Now()
-	golden, err := e.sims.GetOpt(ctx, m, p, opt)
+	golden, sites, known, err := e.sims.FetchGolden(ctx, m, p, opt, lo, hi)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: golden run: %w", err)
 	}
@@ -771,6 +788,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 		budget = DefaultBudgetFactor * golden.Stats.Cycles
 	}
 	ns.MaxCycles = budget
+	derivable := known && fitsBudget(golden, budget)
 
 	res := &Result{Spec: ns, Golden: golden, MaxCycles: budget,
 		Trials: make([]Trial, ns.Trials)}
@@ -786,12 +804,18 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 			mc := m
 			mc.FaultRate = ns.FaultRate
 			mc.FaultSeed = TrialSeed(ns.Seed, i)
-			mc.FaultWindowLo = ns.WarmupInstrs + fetchHorizon(m) + ns.WindowLo
-			mc.FaultWindowHi = ns.WarmupInstrs + ns.WindowHi
+			mc.FaultWindowLo, mc.FaultWindowHi = lo, hi
 			topt := opt
 			topt.MaxCycles = budget
 			trialStart := time.Now()
-			r, ran, err := e.sims.Fetch(ctx, mc, p, topt)
+			var r sim.Result
+			var ran bool
+			var err error
+			if derivable && core.FirstFaultSite(mc.FaultRate, mc.FaultSeed, sites) == sites {
+				r, ran, err = e.sims.Derive(ctx, mc, p, topt, cleanResult(golden, budget))
+			} else {
+				r, ran, err = e.sims.Fetch(ctx, mc, p, topt)
+			}
 			if err != nil {
 				errs[i] = fmt.Errorf("trial %d: %w", i, err)
 				return
@@ -829,6 +853,31 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 	// res.Trials is index-addressed throughout, so it is already in
 	// trial order.
 	return res, nil
+}
+
+// fitsBudget reports whether a trial that never injects finishes under the
+// cycle budget exactly as the golden run did. Such a trial repeats the
+// golden run's steps, and the watchdog fires only on a step after which
+// Cycles exceeds the budget with instructions still to retire. The step
+// that retires the last instruction is a single cycle (a retiring cycle is
+// never fast-forwarded), so the unfinished steps reach at most the golden
+// run's cycles minus one. Under a tighter budget the trial is simulated.
+func fitsBudget(golden sim.Result, budget int64) bool {
+	return !golden.Hung && (budget <= 0 || golden.Stats.Cycles-1 <= budget)
+}
+
+// cleanResult is the result of a trial that never injects: the golden
+// run's, under the trial's cycle budget, with its own copy of the
+// recovery trace.
+func cleanResult(golden sim.Result, budget int64) sim.Result {
+	r := golden
+	r.Options.MaxCycles = budget
+	if golden.Recovery != nil {
+		tr := *golden.Recovery
+		tr.Events = slices.Clone(tr.Events)
+		r.Recovery = &tr
+	}
+	return r
 }
 
 // newTrial summarizes trial i's simulation result r, injected with the

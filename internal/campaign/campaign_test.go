@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -328,5 +329,47 @@ func TestHangClassification(t *testing.T) {
 	}
 	if c := res.Counts(); c.Hang != len(res.Trials) {
 		t.Fatalf("expected every trial to hang at rate 0.5, got %+v", c)
+	}
+
+	// A clean trial is derived only when the golden run fits its budget
+	// under the watchdog's rule; at budgets around the golden run's cycles
+	// G, derived and simulated trials must agree. At G-2 the rule refuses
+	// and the clean trials simulate into a hang; at G-1 and above they
+	// finish as the golden run did.
+	for _, rec := range []string{"none", "ckpt@4k+depth2"} {
+		spec := quickSpec("shrec", 8)
+		spec.Recovery = rec
+		g, err := New(quickSuite()).Run(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		G := g.Golden.Stats.Cycles
+		for _, budget := range []int64{G - 2, G - 1, G, G + 1} {
+			spec.MaxCycles = budget
+			sims := quickSuite()
+			derived, err := New(sims).Run(context.Background(), spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simulated, err := New(withStoredGolden(t, 0, spec)).Run(context.Background(), spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(derived.Trials, simulated.Trials) {
+				t.Errorf("%s at budget G%+d: derived trials diverge from simulated ones:\n%+v\n%+v",
+					rec, budget-G, derived.Trials, simulated.Trials)
+			}
+			skips := sims.Counters().CleanSkips
+			clean := uint64(simulated.Counts().Clean)
+			switch {
+			case budget < G-1 && skips != 0:
+				t.Errorf("%s at budget G%+d: %d trials derived past the watchdog", rec, budget-G, skips)
+			case budget >= G-1 && (skips == 0 || skips != clean):
+				t.Errorf("%s at budget G%+d: %d trials derived, want the %d clean ones", rec, budget-G, skips, clean)
+			}
+			if rec == "none" && budget < G-1 && clean != 0 {
+				t.Errorf("budget G%+d: %d fault-free trials finished under a budget the golden run exceeds", budget-G, clean)
+			}
+		}
 	}
 }

@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/config"
+	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // recoverySpec is quickSpec under a checkpoint/rollback policy tight
@@ -19,18 +22,35 @@ func recoverySpec(trials int) Spec {
 }
 
 // TestRecoveryCampaignWarmsUpOnce pins that a recovery campaign simulates
-// its fault-free warmup once: the golden run builds the warmup checkpoint
-// and every trial resumes it, so a fresh suite counts one warmup share per
-// run.
+// its fault-free warmup once and its clean trials not at all: the golden
+// run builds the warmup checkpoint and every simulated trial resumes it,
+// while every trial whose injector never fires is derived from the golden
+// run. So a fresh suite counts one warmup share per run, a run for the
+// golden and each faulted trial, and a clean skip for each clean trial.
 func TestRecoveryCampaignWarmsUpOnce(t *testing.T) {
 	sims := quickSuite()
-	spec := quickSpec("shrec", 4)
+	// Eight trials: the first four at this seed are all clean.
+	spec := quickSpec("shrec", 8)
 	spec.Recovery = "ckpt@4k+depth2"
-	if _, err := New(sims).Run(context.Background(), spec, nil); err != nil {
+	res, err := New(sims).Run(context.Background(), spec, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sims.Counters().WarmupShares; got != 5 {
-		t.Errorf("WarmupShares = %d, want 5 (the golden run and 4 trials)", got)
+	clean := uint64(res.Counts().Clean)
+	if clean == 0 || clean == uint64(spec.Trials) {
+		t.Fatalf("%d of %d trials clean; the fixture must both derive and simulate", clean, spec.Trials)
+	}
+	simulated := uint64(spec.Trials) - clean
+	c := sims.Counters()
+	if c.WarmupShares != 1+simulated || c.Runs != 1+simulated {
+		t.Errorf("WarmupShares = %d, Runs = %d, want %d each (the golden run and %d faulted trials)",
+			c.WarmupShares, c.Runs, 1+simulated, simulated)
+	}
+	if c.CleanSkips != clean {
+		t.Errorf("CleanSkips = %d, want %d (the clean trials)", c.CleanSkips, clean)
+	}
+	if res.Executed != spec.Trials {
+		t.Errorf("Executed = %d, want %d: derived trials are computed by this run", res.Executed, spec.Trials)
 	}
 }
 
@@ -257,9 +277,11 @@ func TestCampaignOneRecordPerSimulation(t *testing.T) {
 
 // TestCampaignIdentityAcrossResumeAndParallelism is the metamorphic pin of
 // campaign identity: the trial records and outcome counts are the same
-// for a fresh run, a run resumed from the store on a fresh suite (every
-// trial rebuilt from a JSON-decoded sim.Result, recovery trace and its
-// detect latencies included), and a run at parallelism 1 instead of 2.
+// for a fresh run (clean trials derived from the golden run), a run
+// resumed from the store on a fresh suite (every trial rebuilt from a
+// JSON-decoded sim.Result, recovery trace and its detect latencies
+// included), a run at parallelism 1 instead of 2, and a run whose golden
+// run comes from the store, which simulates every trial.
 func TestCampaignIdentityAcrossResumeAndParallelism(t *testing.T) {
 	spec := recoverySpec(12)
 	st, err := store.Open(filepath.Join(t.TempDir(), "campaign.db"))
@@ -291,7 +313,20 @@ func TestCampaignIdentityAcrossResumeAndParallelism(t *testing.T) {
 	if !rolledBack {
 		t.Fatal("no trial rolled back; the recovery-trace latency path is not exercised")
 	}
-	for name, r := range map[string]*Result{"store-resumed": resumed, "parallelism 1": serial} {
+	// A golden run served from the store carries no site count, so every
+	// trial simulates, clean ones included.
+	goldenSims := withStoredGolden(t, 2, spec)
+	simulated, err := New(goldenSims).Run(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := goldenSims.Counters(); c.CleanSkips != 0 || c.Runs != uint64(spec.Trials) {
+		t.Fatalf("stored-golden run: %d clean skips and %d runs, want 0 and %d", c.CleanSkips, c.Runs, spec.Trials)
+	}
+	if fresh.Counts().Clean == 0 {
+		t.Fatal("no clean trial; the derivation path is not exercised")
+	}
+	for name, r := range map[string]*Result{"store-resumed": resumed, "parallelism 1": serial, "stored-golden": simulated} {
 		if !reflect.DeepEqual(fresh.Trials, r.Trials) {
 			t.Errorf("%s run's trials diverged from the fresh run", name)
 		}
@@ -299,4 +334,36 @@ func TestCampaignIdentityAcrossResumeAndParallelism(t *testing.T) {
 			t.Errorf("%s run's counts %+v != fresh %+v", name, r.Counts(), fresh.Counts())
 		}
 	}
+}
+
+// withStoredGolden returns a fresh suite at the given parallelism over a
+// store that holds only spec's golden run. A campaign on it gets its
+// golden run from the store, without a site count, so it simulates every
+// trial.
+func withStoredGolden(t *testing.T, parallelism int, spec Spec) *sim.Suite {
+	t.Helper()
+	st, err := store.Open(filepath.Join(t.TempDir(), "golden.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	sims := suiteAt(parallelism).WithStore(st)
+	_, m, p, opt := goldenKey(t, sims, spec)
+	if _, err := sims.GetOpt(context.Background(), m, p, opt); err != nil {
+		t.Fatal(err)
+	}
+	return suiteAt(parallelism).WithStore(st)
+}
+
+// goldenKey resolves spec as Run does on sims: the normalized spec and
+// the golden run's machine, profile and options.
+func goldenKey(t *testing.T, sims *sim.Suite, spec Spec) (Spec, config.Machine, trace.Profile, sim.Options) {
+	t.Helper()
+	ns, m, p, _, err := normalize(spec, sims.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := sims.Options()
+	opt.WarmupInstrs, opt.MeasureInstrs = ns.WarmupInstrs, ns.MeasureInstrs
+	return ns, m, p, opt
 }

@@ -65,12 +65,44 @@ func (e *Engine) Restore(cp *Checkpoint) { *e = *cp.e.deepClone() }
 // exactly equivalent to having run the whole trial from cold start —
 // provided the window does not reach back before the capture point (see
 // Checkpoint.FetchSeq).
+//
+// A rate-0 engine given a window (SetFaultConfig(0, seed, lo, hi) with
+// hi > 0) draws nothing, so its run stays bit-identical to a fault-free one,
+// but it counts the injection sites it evaluates inside the window
+// (FaultSites). A twin engine injecting at rate draws once at each of
+// those sites until its first hit, so FirstFaultSite decides from the seed
+// alone whether the twin would inject at all.
 func (e *Engine) SetFaultConfig(rate float64, seed uint64, lo, hi uint64) {
 	e.cfg.FaultRate = rate
 	e.cfg.FaultSeed = seed
 	e.cfg.FaultWindowLo, e.cfg.FaultWindowHi = lo, hi
-	e.frng = rng.New(seed ^ 0xfa117_5eed)
+	e.frng = faultRNG(seed)
 }
+
+// FaultSites returns how many injection sites the engine has evaluated
+// inside its fault window: correct-path issues in the window, each of
+// which draws once from the injector when the rate is positive. An engine
+// whose window has no upper bound and whose rate is 0 does not count.
+// Checkpoints and Restore carry the count; ResetStats does not clear it.
+func (e *Engine) FaultSites() uint64 { return e.faultSites }
+
+// FirstFaultSite returns the index of the first of n injection sites at
+// which an engine configured by SetFaultConfig(rate, seed, ...) injects,
+// or n when it injects at none of them. It replays the injector's draws
+// (one rng.Bool per site, none when rate >= 1 or rate <= 0), so it costs
+// at most n draws and no simulation.
+func FirstFaultSite(rate float64, seed, n uint64) uint64 {
+	r := faultRNG(seed)
+	for k := uint64(0); k < n; k++ {
+		if r.Bool(rate) {
+			return k
+		}
+	}
+	return n
+}
+
+// faultRNG returns the fault injector's stream for seed.
+func faultRNG(seed uint64) *rng.RNG { return rng.New(seed ^ 0xfa117_5eed) }
 
 // deepClone returns a fully independent copy of the engine.
 func (e *Engine) deepClone() *Engine {

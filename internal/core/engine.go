@@ -139,6 +139,10 @@ type Engine struct {
 	sigLimit uint64
 
 	stats Stats
+
+	// faultSites counts the injection sites faultEligible accepted
+	// (FaultSites). It stays out of Stats, so it never reaches a result.
+	faultSites uint64
 }
 
 // Option customizes engine construction.
@@ -326,7 +330,7 @@ func New(m config.Machine, g trace.Source, opts ...Option) *Engine {
 		btb:      bpred.NewBTB(m.Bpred.BTBSets, m.Bpred.BTBWays),
 		pool:     fu.NewPool(m.FU),
 		mem:      cache.NewHierarchy(m.Mem),
-		frng:     rng.New(m.FaultSeed ^ 0xfa117_5eed),
+		frng:     faultRNG(m.FaultSeed),
 		w:        newWindow(capacity),
 		robM:     newIdxFifo(capacity),
 		robR:     newIdxFifo(capacity),

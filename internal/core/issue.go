@@ -450,9 +450,12 @@ func (e *Engine) injectFault(s int32) {
 // machine's fault window. The window check precedes the rng draw, so a
 // windowed machine consumes no fault-stream randomness outside its window
 // — its pre-window execution is bit-identical to a fault-free machine's.
+// Every site inside the window counts in faultSites; a rate-0 engine with
+// an upper window bound counts its sites and reports none eligible, and a
+// rate-0 engine without one returns at the first check.
 func (e *Engine) faultEligible(s int32) bool {
 	w := &e.w
-	if e.cfg.FaultRate <= 0 || w.flags[s]&fWrongPath != 0 {
+	if e.cfg.FaultRate <= 0 && e.cfg.FaultWindowHi == 0 || w.flags[s]&fWrongPath != 0 {
 		return false
 	}
 	// The bounds apply independently: lo alone gives a half-open window
@@ -464,5 +467,6 @@ func (e *Engine) faultEligible(s int32) bool {
 	if hi := e.cfg.FaultWindowHi; hi > 0 && w.seq[s] >= hi {
 		return false
 	}
-	return true
+	e.faultSites++
+	return e.cfg.FaultRate > 0
 }

@@ -107,12 +107,23 @@ func (r Result) CPI() float64 { return r.Stats.CPI() }
 // RunContext simulates one machine on one workload, checking ctx for
 // cancellation between engine step batches.
 func RunContext(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
-	return runOn(ctx, m, p, opt, nil)
+	return runOn(ctx, m, p, opt, nil, nil)
+}
+
+// siteCount asks a fault-free run to count the injection sites it
+// evaluates inside the fault window [lo, hi) (core.Engine.FaultSites); the
+// run sets n and ok when it counted every one of them. Giving the rate-0
+// engine the window is what arms the count, and it draws nothing, so the
+// run stays bit-identical to an unarmed one.
+type siteCount struct {
+	lo, hi, n uint64
+	ok        bool
 }
 
 // runOn is RunContext on an instruction source for p's streams: a contiguous
 // run reads them from src, and from a fresh generator when src is nil.
-func runOn(ctx context.Context, m config.Machine, p trace.Profile, opt Options, src trace.Source) (Result, error) {
+// With count non-nil, the run counts its injection sites into it.
+func runOn(ctx context.Context, m config.Machine, p trace.Profile, opt Options, src trace.Source, count *siteCount) (Result, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, fmt.Errorf("sim: %w", err)
 	}
@@ -120,6 +131,9 @@ func runOn(ctx context.Context, m config.Machine, p trace.Profile, opt Options, 
 		src = trace.New(p)
 	}
 	e := core.New(m, src)
+	if count != nil {
+		e.SetFaultConfig(m.FaultRate, m.FaultSeed, count.lo, count.hi)
+	}
 	if opt.WarmupInstrs > 0 {
 		if err := e.WarmupContext(ctx, opt.WarmupInstrs); err != nil {
 			return Result{}, fmt.Errorf("sim: warmup: %w", err)
@@ -128,6 +142,9 @@ func runOn(ctx context.Context, m config.Machine, p trace.Profile, opt Options, 
 	st, tr, hung, err := measureOrRecover(ctx, e, m, opt.MeasureInstrs, opt.MaxCycles)
 	if err != nil {
 		return Result{}, err
+	}
+	if count != nil {
+		count.n, count.ok = e.FaultSites(), true
 	}
 	return newResult(m, p, opt, st, tr, hung), nil
 }
@@ -185,11 +202,22 @@ type call struct {
 	err  error
 }
 
-// shard is one stripe of the result cache.
+// shard is one stripe of the result cache. sites holds the injection-site
+// counts of golden runs simulated by FetchGolden, next to their results;
+// it stays nil until the first count, so suites that run no campaign do
+// not build it.
 type shard struct {
 	mu       sync.Mutex
 	results  map[string]Result
 	inflight map[string]*call
+	sites    map[siteKey]uint64
+}
+
+// siteKey names one golden run's site count: the run's cache key and the
+// fault window counted.
+type siteKey struct {
+	k      string
+	lo, hi uint64
 }
 
 // Suite runs and memoizes simulations so experiments that share
@@ -221,6 +249,7 @@ type Suite struct {
 	// The live counters behind Counters (documented there).
 	runs, cacheHits, cacheMiss, dedupWaits, storeHits, storeErrs atomic.Uint64
 	warmupShares, recoveryRuns, rollbacks, tapeBuilds, tapeHits  atomic.Uint64
+	cleanSkips                                                   atomic.Uint64
 
 	// stages, when telemetry is attached, holds the sim_stage_seconds{stage}
 	// histogram family. All stage timing rides run boundaries — cache
@@ -362,6 +391,10 @@ type Counters struct {
 	// runs; TapeHits counts cold runs that replayed a tape already built.
 	TapeBuilds uint64 `json:"tape_builds" help:"Correct-path tapes generated for cold runs."`
 	TapeHits   uint64 `json:"tape_hits" help:"Cold runs that replayed an already generated correct-path tape."`
+	// CleanSkips counts results served by Derive without simulating:
+	// fault-campaign trials whose injector provably never fires, served
+	// from their golden run. They count in neither Runs nor WarmupShares.
+	CleanSkips uint64 `json:"clean_skips" help:"Trials derived from the golden run without simulating."`
 }
 
 // CounterField describes one Counters field by its tags.
@@ -419,6 +452,7 @@ func (s *Suite) Counters() Counters {
 		Rollbacks:    s.rollbacks.Load(),
 		TapeBuilds:   s.tapeBuilds.Load(),
 		TapeHits:     s.tapeHits.Load(),
+		CleanSkips:   s.cleanSkips.Load(),
 	}
 	c.Hits = c.CacheHits + c.DedupWaits + c.StoreHits
 	return c
@@ -489,6 +523,51 @@ func (s *Suite) GetOpt(ctx context.Context, m config.Machine, p trace.Profile, o
 // callers requesting the same (machine, benchmark, options) key share one
 // underlying run. Campaigns and explorations count resumed work by it.
 func (s *Suite) Fetch(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, bool, error) {
+	return s.fetch(ctx, m, p, opt, nil, nil)
+}
+
+// FetchGolden is Fetch for a fault-free golden run that also returns the
+// number of injection sites the run evaluates inside the fault window
+// [lo, hi) (see core.Engine.FaultSites): a trial of the same machine
+// injecting in that window is clean exactly when core.FirstFaultSite of
+// its rate and seed reaches the count. known is false when the count is
+// not in memory: the result came from the store, or from an earlier
+// request for the same run that counted another window or none, or the
+// warmup checkpoint the run resumed had already fetched past lo. The
+// count is kept in memory only; it is neither part of the Result nor
+// written to the store.
+func (s *Suite) FetchGolden(ctx context.Context, m config.Machine, p trace.Profile, opt Options, lo, hi uint64) (res Result, sites uint64, known bool, err error) {
+	if m.FaultRate != 0 || hi == 0 {
+		res, _, err = s.fetch(ctx, m, p, opt, nil, nil)
+		return res, 0, false, err
+	}
+	if res, _, err = s.fetch(ctx, m, p, opt, &siteCount{lo: lo, hi: hi}, nil); err != nil {
+		return res, 0, false, err
+	}
+	sk := siteKey{key(m, p, opt), lo, hi}
+	sh := s.shardFor(sk.k)
+	sh.mu.Lock()
+	sites, known = sh.sites[sk]
+	sh.mu.Unlock()
+	return res, sites, known, nil
+}
+
+// Derive serves res, a result its caller derived without simulating, as
+// the result of machine m on profile p at options opt. A result already
+// cached or stored under that key wins and reports ran == false, like any
+// Fetch hit. Otherwise res is cached and written to the store exactly as
+// a simulated result would be, counts in CleanSkips, and ran reports
+// true: this call computed it. Fault campaigns serve their clean trials
+// through it.
+func (s *Suite) Derive(ctx context.Context, m config.Machine, p trace.Profile, opt Options, res Result) (Result, bool, error) {
+	return s.fetch(ctx, m, p, opt, nil, &res)
+}
+
+// fetch is the Fetch family's one cache path. On a miss that the store
+// does not serve it computes the result: from derived when non-nil, and
+// otherwise by simulating, counting injection sites into count when
+// non-nil and recording the count next to the cached result.
+func (s *Suite) fetch(ctx context.Context, m config.Machine, p trace.Profile, opt Options, count *siteCount, derived *Result) (Result, bool, error) {
 	k := key(m, p, opt)
 	sh := s.shardFor(k)
 	for {
@@ -531,10 +610,16 @@ func (s *Suite) Fetch(ctx context.Context, m config.Machine, p trace.Profile, op
 		s.cacheMiss.Add(1)
 
 		var ran bool
-		c.res, ran, c.err = s.execute(ctx, m, p, opt)
+		c.res, ran, c.err = s.execute(ctx, m, p, opt, count, derived)
 		sh.mu.Lock()
 		if c.err == nil {
 			sh.results[k] = c.res
+			if count != nil && count.ok {
+				if sh.sites == nil {
+					sh.sites = make(map[siteKey]uint64)
+				}
+				sh.sites[siteKey{k, count.lo, count.hi}] = count.n
+			}
 		}
 		delete(sh.inflight, k)
 		sh.mu.Unlock()
@@ -543,10 +628,10 @@ func (s *Suite) Fetch(ctx context.Context, m config.Machine, p trace.Profile, op
 	}
 }
 
-// execute performs one cache-missing simulation: consult the persistent
-// store, otherwise run under the parallelism bound and write back. ran
-// reports that the result was simulated rather than read from the store.
-func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, bool, error) {
+// execute serves one cache miss: consult the persistent store, otherwise
+// take derived or simulate (see fetch), and write back. ran reports that
+// the result was computed rather than read from the store.
+func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, opt Options, count *siteCount, derived *Result) (Result, bool, error) {
 	var dk string
 	if s.disk != nil {
 		dk = digest(m, p, opt)
@@ -559,28 +644,15 @@ func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, 
 			return res, false, nil
 		}
 	}
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	case <-ctx.Done():
-		return Result{}, false, ctx.Err()
-	}
-	if s.stages != nil {
-		// Layers below the suite (recovery rollbacks) report through the
-		// context observer so they feed sim_stage_seconds without importing
-		// this package.
-		ctx = telemetry.WithStageObserver(ctx, func(stage string, seconds float64) {
-			s.stages.With(stage).Observe(seconds)
-		})
-	}
-	res, err := s.simulate(ctx, m, p, opt)
-	if err != nil {
-		return Result{}, false, err
-	}
-	s.runs.Add(1)
-	if res.Recovery != nil {
-		s.recoveryRuns.Add(1)
-		s.rollbacks.Add(res.Recovery.Rollbacks)
+	var res Result
+	if derived != nil {
+		res = *derived
+		s.cleanSkips.Add(1)
+	} else {
+		var err error
+		if res, err = s.run(ctx, m, p, opt, count); err != nil {
+			return Result{}, false, err
+		}
 	}
 	if s.disk != nil {
 		// A persistence failure (disk full, closed store) must not discard
@@ -595,11 +667,40 @@ func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, 
 	return res, true, nil
 }
 
+// run simulates one cache miss under the parallelism bound and counts it.
+func (s *Suite) run(ctx context.Context, m config.Machine, p trace.Profile, opt Options, count *siteCount) (Result, error) {
+	select {
+	case s.sem <- struct{}{}:
+		defer func() { <-s.sem }()
+	case <-ctx.Done():
+		return Result{}, ctx.Err()
+	}
+	if s.stages != nil {
+		// Layers below the suite (recovery rollbacks) report through the
+		// context observer so they feed sim_stage_seconds without importing
+		// this package.
+		ctx = telemetry.WithStageObserver(ctx, func(stage string, seconds float64) {
+			s.stages.With(stage).Observe(seconds)
+		})
+	}
+	res, err := s.simulate(ctx, m, p, opt, count)
+	if err != nil {
+		return Result{}, err
+	}
+	s.runs.Add(1)
+	if res.Recovery != nil {
+		s.recoveryRuns.Add(1)
+		s.rollbacks.Add(res.Recovery.Rollbacks)
+	}
+	return res, nil
+}
+
 // simulate performs one underlying run, routing fault-campaign trials and
 // the fault-free golden runs of recovery machines through the shared
 // warmup-checkpoint cache when that is provably equivalent to a cold
-// start, and everything else through RunContext.
-func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
+// start, and everything else through RunContext. count, when non-nil,
+// asks the run to count its injection sites (see siteCount).
+func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile, opt Options, count *siteCount) (Result, error) {
 	// Sharing needs a warmup to share. It applies to machines that inject faults, whose window
 	// cannot open during the warmup (FetchSeq runs ahead of the retired
 	// count, so the precise bound is rechecked against the built
@@ -610,7 +711,7 @@ func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile,
 	faultTrial := m.FaultRate > 0 && m.FaultWindowLo >= opt.WarmupInstrs
 	recoveryGolden := m.FaultRate == 0 && m.CkptInterval > 0
 	if opt.WarmupInstrs > 0 && (faultTrial || recoveryGolden) {
-		if res, ok, err := s.runFromWarmup(ctx, m, p, opt); err != nil || ok {
+		if res, ok, err := s.runFromWarmup(ctx, m, p, opt, count); err != nil || ok {
 			return res, err
 		}
 	}
@@ -619,7 +720,7 @@ func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile,
 		src = tape.Cursor()
 	}
 	run := time.Now()
-	res, err := runOn(ctx, m, p, opt, src)
+	res, err := runOn(ctx, m, p, opt, src, count)
 	s.observeStage(ctx, "engine_run", run)
 	return res, err
 }
@@ -694,8 +795,10 @@ func (s *Suite) evictTapes(keep *tapeEntry) {
 // runFromWarmup serves one run from the shared warmup checkpoint. ok
 // reports whether sharing applied; on ok == false (checkpoint build
 // failed, or its fetch frontier already overlaps a fault window) the
-// caller falls back to a cold run.
-func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, bool, error) {
+// caller falls back to a cold run. A count whose window opens before the
+// checkpoint's fetch frontier stays unset: sites the warmup already
+// issued are not in the checkpoint's count.
+func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Profile, opt Options, count *siteCount) (Result, bool, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, false, fmt.Errorf("sim: %w", err)
 	}
@@ -746,11 +849,20 @@ func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Pro
 
 	run := time.Now()
 	e := entry.cp.NewEngine()
-	e.SetFaultConfig(m.FaultRate, m.FaultSeed, m.FaultWindowLo, m.FaultWindowHi)
+	lo, hi := m.FaultWindowLo, m.FaultWindowHi
+	if count != nil && count.lo >= entry.cp.FetchSeq() {
+		lo, hi = count.lo, count.hi
+	} else {
+		count = nil
+	}
+	e.SetFaultConfig(m.FaultRate, m.FaultSeed, lo, hi)
 	st, tr, hung, err := measureOrRecover(ctx, e, m, opt.MeasureInstrs, opt.MaxCycles)
 	s.observeStage(ctx, "engine_run", run)
 	if err != nil {
 		return Result{}, false, err
+	}
+	if count != nil {
+		count.n, count.ok = e.FaultSites(), true
 	}
 	s.warmupShares.Add(1)
 	return newResult(m, p, opt, st, tr, hung), true, nil
