@@ -145,21 +145,26 @@ cli-smoke:
 # target covers all three (about 23 s on 2 vCPUs). The conformance suite
 # includes tape replay (TestConformanceTapeReplay); the suite-level tape
 # tests check that replayed results, ckpt@ recovery across a tape's end
-# included, equal runs on a fresh generator; and the clean-trial
+# included, equal runs on a fresh generator, that every golden run and
+# trial resumed from a warmup checkpoint warmed on a tape equals one
+# warmed on a generator (over the conformance machines, tapes ending
+# past, inside and before the run), and that an evicted tape a checkpoint
+# still holds is revived rather than rebuilt; and the clean-trial
 # derivation cross checks that every campaign trial derived from its
 # golden run has a fresh simulation's bytes, over the conformance
 # machines, four rates, three windows and both recovery settings (about
 # 40 s more).
 engine-identity:
 	$(GO) test -count=1 -run 'TestFastForwardEquivalence|TestConformance|TestMaskCursorTailZero|TestSS2LockstepSeeds|TestAuditDetectsCorruption' ./internal/core/
-	$(GO) test -count=1 -run 'TestSuiteSharesTapes|TestTapeRecoveryIdentity' ./internal/sim/
+	$(GO) test -count=1 -run 'TestSuiteSharesTapes|TestTapeRecoveryIdentity|TestTapeWarmupIdentity|TestTapeRevival' ./internal/sim/
 	$(GO) test -count=1 -run 'TestCleanTrialDerivationIdentity' ./internal/campaign/
 
 # Fuzz smoke: each native fuzz target for 10 s (go test -fuzz runs one
 # target in one package at a time): the machine-spec grammar's round trip,
 # the recovery-mode grammar's, the trace-file reader's, tape cursors
 # against the generator, the result store's record decoder, and campaign
-# spec normalization (a fixed point that round-trips through JSON).
+# and exploration spec normalization (each a fixed point that
+# round-trips through JSON).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecRoundTrip$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseMode$$' -fuzztime=10s ./internal/recovery/
@@ -167,6 +172,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTapeCursor$$' -fuzztime=10s ./internal/trace/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzCampaignNormalize$$' -fuzztime=10s ./internal/campaign/
+	$(GO) test -run='^$$' -fuzz='^FuzzExploreNormalize$$' -fuzztime=10s ./internal/explore/
 
 # Crash-recovery acceptance: SIGKILL a real shrecd mid-campaign and
 # assert the restarted server re-adopts the journaled job and finishes

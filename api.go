@@ -430,22 +430,3 @@ func NewEngine(m Machine, p Profile) *core.Engine {
 // TraceSource is any instruction stream the engine can consume: a
 // synthetic trace.Generator or a replayed trace.Recording.
 type TraceSource = trace.Source
-
-// Recording is a captured instruction trace replayed cyclically.
-type Recording = trace.Recording
-
-// CaptureTrace records n correct-path and nWrong wrong-path instructions
-// of the named benchmark for later replay (see also trace.ReadRecording
-// and Recording.WriteTo for the binary format used by cmd/tracetool).
-func CaptureTrace(benchmark string, n, nWrong int) (*Recording, error) {
-	p, err := workload.ByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Capture(trace.New(p), n, nWrong)
-}
-
-// NewEngineFromTrace builds an engine replaying a recorded trace.
-func NewEngineFromTrace(m Machine, r *Recording) *core.Engine {
-	return core.New(m, r)
-}

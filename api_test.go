@@ -221,27 +221,6 @@ func TestFacadeExperimentNames(t *testing.T) {
 	}
 }
 
-func TestFacadeTraceCapture(t *testing.T) {
-	rec, err := CaptureTrace("parser", 5000, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Len() != 5000 {
-		t.Fatalf("captured %d", rec.Len())
-	}
-	e := NewEngineFromTrace(SHREC(), rec)
-	st, err := e.RunBudget(context.Background(), 2000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.IPC() <= 0 {
-		t.Fatal("replay produced no progress")
-	}
-	if _, err := CaptureTrace("nope", 10, 0); err == nil {
-		t.Fatal("unknown benchmark accepted")
-	}
-}
-
 func TestClientCampaign(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewClient(

@@ -679,9 +679,18 @@ func normalize(spec Spec, def sim.Options) (Spec, config.Machine, trace.Profile,
 	fail := func(err error) (Spec, config.Machine, trace.Profile, recovery.Policy, error) {
 		return Spec{}, config.Machine{}, trace.Profile{}, recovery.Policy{}, err
 	}
-	m, err := config.ByName(spec.Machine)
+	full, err := config.ByName(spec.Machine)
 	if err != nil {
 		return fail(fmt.Errorf("campaign: %w", err))
+	}
+	// The golden run must be fault-free: a "+rate" token in the machine
+	// spec names the trials' fault rate, not the machine's.
+	m := full.WithoutRate()
+	switch {
+	case spec.FaultRate == 0:
+		spec.FaultRate = full.FaultRate
+	case full.FaultRate != 0 && full.FaultRate != spec.FaultRate:
+		return fail(fmt.Errorf("campaign: machine %q injects at rate %g but the spec's fault rate is %g", spec.Machine, full.FaultRate, spec.FaultRate))
 	}
 	// Record the canonical spelling: "meek", "MEEK@2", and "Meek@2" all
 	// name the same machine, so they must hash to the same job identity.

@@ -1,9 +1,12 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -305,12 +308,55 @@ func TestNormalizeErrors(t *testing.T) {
 		{Machine: "shrec", Benchmark: "crafty", Trials: -1},
 		{Machine: "shrec", Benchmark: "crafty", WindowLo: 10, WindowHi: 5},
 		{Machine: "shrec", Benchmark: "crafty", MaxCycles: -3},
+		{Machine: "shrec+rate1e-3", Benchmark: "crafty", FaultRate: 2e-3},
 	}
 	for i, spec := range bad {
 		if _, err := e.Run(context.Background(), spec, nil); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, spec)
 		}
 	}
+}
+
+// TestMachineRateIsTheTrialRate pins the meaning of a "+rate" token in a
+// campaign's machine spec: it is the trials' fault rate. The golden run
+// injects nothing, and the campaign is the one on the rate-free machine
+// with that FaultRate: the same normalized spec, golden run and trials.
+func TestMachineRateIsTheTrialRate(t *testing.T) {
+	ctx := context.Background()
+	spec := quickSpec("shrec+rate1e-3", 8)
+	spec.FaultRate = 0
+	got, err := New(quickSuite()).Run(ctx, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := got.Golden.Stats; s.FaultsInjected != 0 || s.FaultsDetected != 0 {
+		t.Fatalf("the golden run injected %d faults and detected %d", s.FaultsInjected, s.FaultsDetected)
+	}
+	plain := quickSpec("shrec", 8)
+	plain.FaultRate = 1e-3
+	want, err := New(quickSuite()).Run(ctx, plain, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Spec != want.Spec {
+		t.Fatalf("normalized specs differ:\n %+v\n %+v", got.Spec, want.Spec)
+	}
+	gb, wb := mustMarshal(t, got.Golden), mustMarshal(t, want.Golden)
+	if !bytes.Equal(gb, wb) {
+		t.Fatalf("golden runs differ:\n %s\n %s", gb, wb)
+	}
+	if !slices.Equal(got.Trials, want.Trials) {
+		t.Fatalf("trials differ:\n %+v\n %+v", got.Trials, want.Trials)
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestHangClassification drives a real hang through the full stack: a

@@ -21,6 +21,7 @@ func FuzzCampaignNormalize(f *testing.F) {
 		`{"machine":"flex@512:on128","benchmark":"crafty","window_lo":100,"window_hi":4000,"max_cycles":9}`,
 		`{"machine":"shrec","benchmark":"crafty","warmup_instrs":1,"measure_instrs":300}`,
 		`{"machine":"shrec","benchmark":"crafty","fault_rate":-0,"trials":-1}`,
+		`{"machine":"shrec+rate1e-3+ckpt4k","benchmark":"crafty","fault_rate":0.001}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -249,6 +249,7 @@ func Normalize(spec Spec, def sim.Options) (Spec, error) {
 	if err := spec.Space.validate(); err != nil {
 		return Spec{}, err
 	}
+	spec.Space = spec.Space.canonical()
 	switch spec.Strategy {
 	case "":
 		spec.Strategy = StrategyGrid

@@ -102,6 +102,31 @@ func (s Space) Size() int {
 	return n
 }
 
+// canonical returns s with every empty axis nil. An empty axis and an
+// absent one describe the same space, and JSON omits both, so only nil
+// survives a round trip.
+func (s Space) canonical() Space {
+	s.CheckerLanes = nilIfEmpty(s.CheckerLanes)
+	s.Contexts = nilIfEmpty(s.Contexts)
+	s.RegionDuties = nilIfEmpty(s.RegionDuties)
+	s.XScales = nilIfEmpty(s.XScales)
+	s.Staggers = nilIfEmpty(s.Staggers)
+	s.FUScales = nilIfEmpty(s.FUScales)
+	s.MSHRs = nilIfEmpty(s.MSHRs)
+	s.MemPorts = nilIfEmpty(s.MemPorts)
+	s.CkptIntervals = nilIfEmpty(s.CkptIntervals)
+	s.CkptDepths = nilIfEmpty(s.CkptDepths)
+	s.FaultRates = nilIfEmpty(s.FaultRates)
+	return s
+}
+
+func nilIfEmpty[T any](axis []T) []T {
+	if len(axis) == 0 {
+		return nil
+	}
+	return axis
+}
+
 // validate checks the axes without building any point.
 func (s Space) validate() error {
 	if len(s.Bases) == 0 {

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -239,12 +240,14 @@ type Suite struct {
 	cps  map[string]*cpEntry
 
 	// tapes caches each profile's correct-path stream for the cold
-	// contiguous runs, so the machines of a sweep replay one generation of
-	// it (see tapeFor). It is an LRU over tapeBudget bytes.
+	// contiguous runs and the warmup checkpoint builds, so the machines of
+	// a sweep and the campaigns over a profile replay one generation of it
+	// (see tapeFor). It is an LRU over tapeBudget bytes.
 	tapeMu    sync.Mutex
 	tapes     map[string]*tapeEntry
-	tapeBytes int    // bytes of the built tapes in tapes
-	tapeClock uint64 // LRU clock: bumped on every tape request
+	evicted   map[string]weak.Pointer[trace.Tape] // the tapes the LRU dropped, for revival
+	tapeBytes int                                 // bytes of the built tapes in tapes
+	tapeClock uint64                              // LRU clock: bumped on every tape request
 
 	// The live counters behind Counters (documented there).
 	runs, cacheHits, cacheMiss, dedupWaits, storeHits, storeErrs atomic.Uint64
@@ -301,7 +304,8 @@ func NewSuite(opt Options) *Suite {
 		opt.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	s := &Suite{opt: opt, sem: make(chan struct{}, opt.Parallelism),
-		cps: make(map[string]*cpEntry), tapes: make(map[string]*tapeEntry)}
+		cps: make(map[string]*cpEntry), tapes: make(map[string]*tapeEntry),
+		evicted: make(map[string]weak.Pointer[trace.Tape])}
 	for i := range s.shards {
 		s.shards[i].results = make(map[string]Result)
 		s.shards[i].inflight = make(map[string]*call)
@@ -388,9 +392,10 @@ type Counters struct {
 	// Rollbacks counts checkpoint rollbacks across every recovery run.
 	Rollbacks uint64 `json:"rollbacks" help:"Checkpoint rollbacks across all recovery runs."`
 	// TapeBuilds counts correct-path tapes generated for cold contiguous
-	// runs; TapeHits counts cold runs that replayed a tape already built.
-	TapeBuilds uint64 `json:"tape_builds" help:"Correct-path tapes generated for cold runs."`
-	TapeHits   uint64 `json:"tape_hits" help:"Cold runs that replayed an already generated correct-path tape."`
+	// runs and warmup checkpoint builds; TapeHits counts those runs that
+	// replayed a tape already built (or revived after its eviction).
+	TapeBuilds uint64 `json:"tape_builds" help:"Correct-path tapes generated for runs, including warmup checkpoints."`
+	TapeHits   uint64 `json:"tape_hits" help:"Runs, including warmup checkpoints, that replayed an already generated correct-path tape."`
 	// CleanSkips counts results served by Derive without simulating:
 	// fault-campaign trials whose injector provably never fires, served
 	// from their golden run. They count in neither Runs nor WarmupShares.
@@ -715,14 +720,21 @@ func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile,
 			return res, err
 		}
 	}
-	var src trace.Source
-	if tape := s.tapeFor(ctx, p, opt); tape != nil {
-		src = tape.Cursor()
-	}
+	src := s.sourceFor(ctx, p, opt)
 	run := time.Now()
 	res, err := runOn(ctx, m, p, opt, src, count)
 	s.observeStage(ctx, "engine_run", run)
 	return res, err
+}
+
+// sourceFor returns the instruction source of one run of p at opt, a cold
+// run or a warmup checkpoint's build: a cursor over p's tape, or a fresh
+// generator when the tape build failed or was cancelled.
+func (s *Suite) sourceFor(ctx context.Context, p trace.Profile, opt Options) trace.Source {
+	if tape := s.tapeFor(ctx, p, opt); tape != nil {
+		return tape.Cursor()
+	}
+	return trace.New(p)
 }
 
 // tapeFor returns p's tape, building it on the first request (timed as the
@@ -730,14 +742,23 @@ func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile,
 // dropping the entry as runFromWarmup does, so the caller runs on a fresh
 // generator and the next request rebuilds. The tape's length is set by
 // its first request; any run replays it exactly, continuing past its end
-// on the generator.
+// on the generator. A tape the LRU dropped while a run or a warmup
+// checkpoint still replays it is revived rather than rebuilt, so a suite
+// holds at most one live tape per profile.
 func (s *Suite) tapeFor(ctx context.Context, p trace.Profile, opt Options) *trace.Tape {
-	k := store.Digest("sim.tape.v1", p)
+	k := tapeKey(p)
 	s.tapeMu.Lock()
 	entry, ok := s.tapes[k]
 	if !ok {
 		entry = &tapeEntry{}
 		s.tapes[k] = entry
+		if tape := s.evicted[k].Value(); tape != nil {
+			entry.once.Do(func() { entry.tape = tape })
+			entry.bytes = tape.Bytes()
+			s.tapeBytes += entry.bytes
+			s.evictTapes(entry)
+		}
+		delete(s.evicted, k)
 	}
 	s.tapeClock++
 	entry.used = s.tapeClock
@@ -772,9 +793,15 @@ func (s *Suite) tapeFor(ctx context.Context, p trace.Profile, opt Options) *trac
 	return entry.tape
 }
 
+// tapeKey is the key of p's tape: the profile alone, since a tape serves
+// every run length.
+func tapeKey(p trace.Profile) string { return store.Digest("sim.tape.v1", p) }
+
 // evictTapes drops least recently requested built tapes until the cache
-// fits tapeBudget, never dropping keep. Runs already replaying a dropped
-// tape hold it until they finish. The caller holds tapeMu.
+// fits tapeBudget, never dropping keep. Runs and warmup checkpoints already
+// replaying a dropped tape hold it, and evicted keeps a weak pointer to it
+// for tapeFor to revive; the pointers of collected tapes are pruned here.
+// The caller holds tapeMu.
 func (s *Suite) evictTapes(keep *tapeEntry) {
 	for s.tapeBytes > tapeBudget {
 		var lru string
@@ -789,24 +816,22 @@ func (s *Suite) evictTapes(keep *tapeEntry) {
 		}
 		delete(s.tapes, lru)
 		s.tapeBytes -= oldest.bytes
+		for k, w := range s.evicted {
+			if w.Value() == nil {
+				delete(s.evicted, k)
+			}
+		}
+		s.evicted[lru] = weak.Make(oldest.tape)
 	}
 }
 
-// runFromWarmup serves one run from the shared warmup checkpoint. ok
-// reports whether sharing applied; on ok == false (checkpoint build
-// failed, or its fetch frontier already overlaps a fault window) the
-// caller falls back to a cold run. A count whose window opens before the
-// checkpoint's fetch frontier stays unset: sites the warmup already
-// issued are not in the checkpoint's count.
-func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Profile, opt Options, count *siteCount) (Result, bool, error) {
-	if err := m.Validate(); err != nil {
-		return Result{}, false, fmt.Errorf("sim: %w", err)
-	}
-	// The warmup is fault-free and checkpoint-free regardless of the trial's
-	// injection and recovery settings, and the display name tracks those
-	// settings — zero all three so one warmup checkpoint serves every trial,
-	// every recovery policy and the recovery golden run over the same base
-	// machine.
+// warmupKey returns the machine whose warmup a run of m on p at opt
+// shares, and the key of its warmup checkpoint. The warmup is fault-free
+// and checkpoint-free regardless of the run's injection and recovery
+// settings, and the display name tracks those settings — zero all three so
+// one warmup checkpoint serves every trial, every recovery policy and the
+// recovery golden run over the same base machine.
+func warmupKey(m config.Machine, p trace.Profile, opt Options) (config.Machine, string) {
 	base := m
 	base.Name = ""
 	base.FaultRate, base.FaultSeed = 0, 0
@@ -814,7 +839,23 @@ func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Pro
 	base.CkptInterval, base.CkptDepth = 0, 0
 	// v3: the machine hash gained the detection-mode-zoo fields, so v2
 	// checkpoint keys no longer correspond to any current machine.
-	ck := store.Digest("sim.warmup.v3", base, p, opt.WarmupInstrs)
+	return base, store.Digest("sim.warmup.v3", base, p, opt.WarmupInstrs)
+}
+
+// runFromWarmup serves one run from the shared warmup checkpoint. ok
+// reports whether sharing applied; on ok == false (checkpoint build
+// failed, or its fetch frontier already overlaps a fault window) the
+// caller falls back to a cold run. A count whose window opens before the
+// checkpoint's fetch frontier stays unset: sites the warmup already
+// issued are not in the checkpoint's count. The checkpoint's warmup
+// replays p's tape (see sourceFor); the engines spawned from it, their
+// recovery checkpoints and their rollbacks clone its cursor and go on
+// sharing the tape.
+func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Profile, opt Options, count *siteCount) (Result, bool, error) {
+	if err := m.Validate(); err != nil {
+		return Result{}, false, fmt.Errorf("sim: %w", err)
+	}
+	base, ck := warmupKey(m, p, opt)
 
 	share := time.Now()
 	s.cpMu.Lock()
@@ -825,7 +866,7 @@ func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Pro
 	}
 	s.cpMu.Unlock()
 	entry.once.Do(func() {
-		e := core.New(base, trace.New(p))
+		e := core.New(base, s.sourceFor(ctx, p, opt))
 		if err := e.WarmupContext(ctx, opt.WarmupInstrs); err != nil {
 			entry.err = err
 			return
