@@ -161,16 +161,18 @@ engine-identity:
 
 # Fuzz smoke: each native fuzz target for 10 s (go test -fuzz runs one
 # target in one package at a time): the machine-spec grammar's round trip,
-# the recovery-mode grammar's, the trace-file reader's, tape cursors
-# against the generator, the result store's record decoder, and campaign
-# and exploration spec normalization (each a fixed point that
-# round-trips through JSON).
+# the recovery-mode grammar's, the trace-file (serialized tape) reader's,
+# tape cursors against the generator, the result store's record decoder
+# and its replay of an arbitrary segment file at open, and campaign and
+# exploration spec normalization (each a fixed point that round-trips
+# through JSON).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSpecRoundTrip$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseMode$$' -fuzztime=10s ./internal/recovery/
-	$(GO) test -run='^$$' -fuzz='^FuzzReadRecording$$' -fuzztime=10s ./internal/trace/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadTape$$' -fuzztime=10s ./internal/trace/
 	$(GO) test -run='^$$' -fuzz='^FuzzTapeCursor$$' -fuzztime=10s ./internal/trace/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=10s ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzSegmentReplay$$' -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzCampaignNormalize$$' -fuzztime=10s ./internal/campaign/
 	$(GO) test -run='^$$' -fuzz='^FuzzExploreNormalize$$' -fuzztime=10s ./internal/explore/
 

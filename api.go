@@ -417,16 +417,3 @@ func ExperimentNames() []string { return experiments.Names() }
 // order — the same registry that drives validation everywhere, so the
 // docs can never drift from the runnable set again.
 func ExperimentCatalog() []ExperimentInfo { return experiments.Catalog() }
-
-// ---------------------------------------------------------------------------
-// Engine-level access for custom drivers.
-
-// NewEngine builds a bare simulation engine for custom drivers (manual
-// warmup, fault injection studies, per-cycle inspection).
-func NewEngine(m Machine, p Profile) *core.Engine {
-	return core.New(m, trace.New(p))
-}
-
-// TraceSource is any instruction stream the engine can consume: a
-// synthetic trace.Generator or a replayed trace.Recording.
-type TraceSource = trace.Source

@@ -178,21 +178,6 @@ func TestFacadeWorkloads(t *testing.T) {
 	}
 }
 
-func TestFacadeEngine(t *testing.T) {
-	p, _ := WorkloadByName("parser")
-	e := NewEngine(SS1(), p)
-	if err := e.WarmupContext(context.Background(), 5000); err != nil {
-		t.Fatal(err)
-	}
-	st, err := e.RunBudget(context.Background(), 5000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Retired < 5000 {
-		t.Fatal("engine run incomplete")
-	}
-}
-
 func TestFacadeExperimentNames(t *testing.T) {
 	names := ExperimentNames()
 	if len(names) != 10 {

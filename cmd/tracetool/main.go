@@ -1,6 +1,9 @@
 // Command tracetool captures synthetic workload traces to files and
 // inspects or replays them, decoupling workload generation from timing
 // simulation (the usual trace-driven methodology of the paper's era).
+// A trace file is a serialized trace.Tape of a registered workload:
+// reading one regenerates the workload's stream and rejects a file that
+// differs from it, so a file always replays as its workload does.
 //
 //	tracetool capture -bench swim -n 500000 -o swim.trace
 //	tracetool info   swim.trace
@@ -14,11 +17,9 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/config"
-	"repro/internal/core"
+	"repro"
 	"repro/internal/isa"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -44,18 +45,17 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  tracetool capture -bench <name> [-n instrs] [-wrong instrs] -o <file>
+  tracetool capture -bench <name> [-n instrs] -o <file>
   tracetool info <file>
   tracetool run [-machine spec] [-n instrs] [-warmup instrs] <file>`)
 	os.Exit(2)
 }
 
-// capture records a synthetic workload's trace to a file.
+// capture writes a workload's first -n instructions to a trace file.
 func capture(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("capture", flag.ContinueOnError)
 	bench := fs.String("bench", "swim", "benchmark to capture")
 	n := fs.Int("n", 500_000, "correct-path instructions")
-	wrong := fs.Int("wrong", 50_000, "wrong-path instructions")
 	out := fs.String("o", "", "output file (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -63,11 +63,14 @@ func capture(args []string, w io.Writer) error {
 	if *out == "" {
 		return fmt.Errorf("capture: -o is required")
 	}
-	p, err := workload.ByName(*bench)
+	if *n <= 0 {
+		return fmt.Errorf("capture: -n %d must be positive", *n)
+	}
+	p, err := repro.WorkloadByName(*bench)
 	if err != nil {
 		return err
 	}
-	rec, err := trace.Capture(trace.New(p), *n, *wrong)
+	tape, err := trace.BuildTape(context.Background(), p, *n)
 	if err != nil {
 		return err
 	}
@@ -76,38 +79,42 @@ func capture(args []string, w io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	written, err := rec.WriteTo(f)
+	written, err := tape.WriteTo(f)
+	if err == nil {
+		err = f.Close()
+	}
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "captured %s: %d + %d instructions, %d bytes -> %s\n",
-		*bench, rec.Len(), rec.WrongLen(), written, *out)
+	_, err = fmt.Fprintf(w, "captured %s: %d instructions, %d bytes -> %s\n",
+		p.Name, tape.Len(), written, *out)
 	return err
 }
 
-// load reads a recording written by capture.
-func load(path string) (*trace.Recording, error) {
+// load reads a trace file written by capture.
+func load(path string) (*trace.Tape, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return trace.ReadRecording(f)
+	return trace.ReadTape(f, repro.WorkloadByName)
 }
 
-// info prints a recording's instruction mix.
+// info prints a trace file's workload and instruction mix.
 func info(args []string, w io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("info: want one trace file, got %d arguments", len(args))
 	}
-	rec, err := load(args[0])
+	tape, err := load(args[0])
 	if err != nil {
 		return err
 	}
 	var counts [isa.NumOpClasses]int
 	branches, taken := 0, 0
-	for i := 0; i < rec.Len(); i++ {
-		in := rec.Next()
+	c := tape.Cursor()
+	for i := 0; i < tape.Len(); i++ {
+		in := c.Next()
 		counts[in.Class]++
 		if in.IsBranch() {
 			branches++
@@ -116,14 +123,13 @@ func info(args []string, w io.Writer) error {
 			}
 		}
 	}
-	fmt.Fprintf(w, "%s: %d correct-path + %d wrong-path instructions\n",
-		args[0], rec.Len(), rec.WrongLen())
+	fmt.Fprintf(w, "%s: %d instructions of %s\n", args[0], tape.Len(), tape.Profile().Name)
 	for c := 0; c < isa.NumOpClasses; c++ {
 		if counts[c] == 0 {
 			continue
 		}
 		fmt.Fprintf(w, "  %-7s %8d  (%.1f%%)\n", isa.OpClass(c), counts[c],
-			100*float64(counts[c])/float64(rec.Len()))
+			100*float64(counts[c])/float64(tape.Len()))
 	}
 	if branches > 0 {
 		fmt.Fprintf(w, "  taken branch fraction: %.1f%%\n", 100*float64(taken)/float64(branches))
@@ -131,12 +137,13 @@ func info(args []string, w io.Writer) error {
 	return nil
 }
 
-// run replays a recording on one machine and prints its IPC. -machine
-// takes any spec config.ByName parses (ss2+s, meek@2, shrec+ctx4, ...).
+// run simulates a trace file's workload on one machine through
+// repro.Client and prints its IPC. -machine takes any spec
+// repro.MachineByName parses (ss2+s, meek@2, shrec+ctx4, ...).
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	machine := fs.String("machine", "shrec", "machine spec, e.g. ss1, ss2+s, shrec+ctx4, meek@2")
-	n := fs.Uint64("n", 0, "instructions to simulate (default: one full lap)")
+	n := fs.Uint64("n", 0, "instructions to simulate (default: the file's length)")
 	warm := fs.Uint64("warmup", 100_000, "warmup instructions")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -144,30 +151,29 @@ func run(args []string, w io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("run: want one trace file, got %d arguments", fs.NArg())
 	}
-	m, err := config.ByName(*machine)
+	m, err := repro.MachineByName(*machine)
 	if err != nil {
 		return err
 	}
-	rec, err := load(fs.Arg(0))
+	tape, err := load(fs.Arg(0))
 	if err != nil {
 		return err
 	}
 	count := *n
 	if count == 0 {
-		count = uint64(rec.Len())
+		count = uint64(tape.Len())
 	}
-	ctx := context.Background()
-	e := core.New(m, rec)
-	if *warm > 0 {
-		if err := e.WarmupContext(ctx, *warm); err != nil {
-			return err
-		}
+	c, err := repro.NewClient(repro.WithOptions(repro.Options{WarmupInstrs: *warm, MeasureInstrs: count}),
+		repro.WithParallelism(1))
+	if err != nil {
+		return err
 	}
-	st, err := e.RunBudget(ctx, count, 0)
+	defer c.Close()
+	res, err := c.SimulateProfile(context.Background(), m, tape.Profile())
 	if err != nil {
 		return err
 	}
 	_, err = fmt.Fprintf(w, "%s on %s: IPC %.3f over %d instructions (%d cycles)\n",
-		m.Name, fs.Arg(0), st.IPC(), st.Retired, st.Cycles)
+		m.Name, fs.Arg(0), res.IPC(), res.Stats.Retired, res.Stats.Cycles)
 	return err
 }

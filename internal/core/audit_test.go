@@ -121,6 +121,17 @@ func (e *Engine) audit() error {
 	if !same {
 		return fmt.Errorf("lsqStores differ from a recount of the LSQ's %d entries", e.lsq.len())
 	}
+	// Under the fast loop lsqSpace skips its sweep while now precedes
+	// lsqNextFree, so the bound may not pass any issued resident load:
+	// not one still in flight, nor one completed but not yet swept.
+	if !e.tickLoop {
+		for i := 0; i < e.lsq.len(); i++ {
+			s := e.lsq.at(i)
+			if w.inst[s].IsLoad() && w.flags[s]&fIssued != 0 && w.completeAt[s] < e.lsqNextFree {
+				return fmt.Errorf("lsqNextFree %d passes load %d, which completes at %d", e.lsqNextFree, s, w.completeAt[s])
+			}
+		}
+	}
 	return nil
 }
 
@@ -183,6 +194,17 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			s := e.w.ringSlot(0)
 			e.w.ready[s>>6] |= 1 << (uint(s) & 63)
 			e.w.sleep[s>>6] |= 1 << (uint(s) & 63)
+		}},
+		"lsqNextFree": {config.SS1(), func(e *Engine) {
+			for {
+				for i := 0; i < e.lsq.len(); i++ {
+					if s := e.lsq.at(i); e.w.inst[s].IsLoad() && e.w.flags[s]&fIssued != 0 {
+						e.lsqNextFree = e.w.completeAt[s] + 1
+						return
+					}
+				}
+				e.step()
+			}
 		}},
 		"one-sided pair": {ss2, func(e *Engine) {
 			for i := int32(0); i < e.w.n; i++ {

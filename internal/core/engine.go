@@ -317,7 +317,7 @@ func (s Stats) AvgStagger() float64 {
 const windowSlack = 8
 
 // New builds an engine for machine m consuming instructions from source g
-// (a synthetic trace.Generator or a replayed trace.Recording).
+// (a synthetic trace.Generator or a trace.Cursor replaying a tape).
 func New(m config.Machine, g trace.Source, opts ...Option) *Engine {
 	if err := m.Validate(); err != nil {
 		panic("core: " + err.Error())

@@ -214,9 +214,6 @@ func (g *Generator) cloneStream() *Generator {
 	return &c
 }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() *Profile { return &g.p }
-
 // curPhase returns the active phase and advances phase bookkeeping by one
 // instruction.
 func (g *Generator) stepPhase() *Phase {

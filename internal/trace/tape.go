@@ -47,7 +47,7 @@ const tapeCheckEvery = 1 << 12
 // does.
 func BuildTape(ctx context.Context, p Profile, n int) (*Tape, error) {
 	g := New(p)
-	t := &Tape{ops: make([]uint32, n), end: g, wp: g.wp}
+	t := &Tape{ops: make([]uint32, 0, n), end: g, wp: g.wp}
 	g.wp = nil
 	var next uint64 // the PC implied for the next instruction
 	for i := 0; i < n; i++ {
@@ -62,24 +62,7 @@ func BuildTape(ctx context.Context, p Profile, n int) (*Tape, error) {
 				t.words = slices.Grow(t.words, want+want/16-len(t.words))
 			}
 		}
-		in := g.Next()
-		h := uint32(in.Class) | uint32(in.BranchKind)<<headKindShift
-		if in.Taken {
-			h |= headTaken
-		}
-		if i == 0 || in.PC != next {
-			h |= headExplicitPC
-			t.words = append(t.words, in.PC)
-		}
-		t.ops[i] = h | uint32(uint8(in.Dest))<<8 | uint32(uint8(in.Src1))<<16 | uint32(uint8(in.Src2))<<24
-		next = in.PC + instrBytes
-		switch in.Class {
-		case isa.OpLoad, isa.OpStore:
-			t.words = append(t.words, in.Addr)
-		case isa.OpBranch:
-			t.words = append(t.words, in.Target)
-			next = in.Target
-		}
+		next = t.push(t.end.Next(), next)
 	}
 	// A tape lives as long as the suite retains it: trim a column that
 	// grew or was sized more than 1/8 past its length.
@@ -89,8 +72,33 @@ func BuildTape(ctx context.Context, p Profile, n int) (*Tape, error) {
 	return t, nil
 }
 
+// push appends in to the tape's columns. next is the PC implied for in;
+// push returns the PC implied for the instruction after it.
+func (t *Tape) push(in isa.Inst, next uint64) uint64 {
+	h := uint32(in.Class) | uint32(in.BranchKind)<<headKindShift
+	if in.Taken {
+		h |= headTaken
+	}
+	if len(t.ops) == 0 || in.PC != next {
+		h |= headExplicitPC
+		t.words = append(t.words, in.PC)
+	}
+	t.ops = append(t.ops, h|uint32(uint8(in.Dest))<<8|uint32(uint8(in.Src1))<<16|uint32(uint8(in.Src2))<<24)
+	switch in.Class {
+	case isa.OpLoad, isa.OpStore:
+		t.words = append(t.words, in.Addr)
+	case isa.OpBranch:
+		t.words = append(t.words, in.Target)
+		return in.Target
+	}
+	return in.PC + instrBytes
+}
+
 // Len returns the number of instructions on the tape.
 func (t *Tape) Len() int { return len(t.ops) }
+
+// Profile returns the profile whose stream the tape holds.
+func (t *Tape) Profile() Profile { return t.end.p }
 
 // Bytes returns the memory the tape holds: its columns and the two
 // generators it continues from, whose block layouts grow with the
