@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full race bench bench-cycle bench-http bench-ckpt bench-trace bench-baseline bench-gate fmt vet perfbench-vet examples cli-smoke engine-identity fuzz-smoke crash-test obs-smoke docs docs-check ci
+.PHONY: build test test-full race bench bench-cycle bench-http bench-ckpt bench-trace bench-store bench-baseline bench-gate fmt vet perfbench-vet examples cli-smoke engine-identity fuzz-smoke crash-test obs-smoke docs docs-check ci
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,15 @@ bench-ckpt:
 # entry or gate.
 bench-trace:
 	$(GO) test -json -bench='^BenchmarkTrace$$' -benchtime=1000000x -run='^$$' ./internal/trace/
+
+# Store layer: appending one record to a SyncNever store from GOMAXPROCS
+# goroutines (Put), decoding one stored value (Get), and replaying a
+# closed store of 10k records at open (Open), as test2json lines. Put and
+# Get take microseconds, an open about 20 ms, so each runs about a
+# second. Record-only: no baseline entry or gate.
+bench-store:
+	$(GO) test -json -bench='^BenchmarkStore$$/^(Put|Get)$$' -benchtime=20000x -run='^$$' ./internal/store/
+	$(GO) test -json -bench='^BenchmarkStore$$/^Open$$' -benchtime=50x -run='^$$' ./internal/store/
 
 # Regenerate the committed benchmark baseline: the Cycle micro-benchmark
 # at fixed iterations plus the 1x smoke pass over every benchmark
@@ -178,14 +187,16 @@ fuzz-smoke:
 
 # Crash-recovery acceptance: SIGKILL a real shrecd mid-campaign and
 # assert the restarted server re-adopts the journaled job and finishes
-# it with the same results; then the store corruption/chaos suites, the
-# in-process kill-rejoin/shedding/watchdog suites, and the Remote client
-# (the retrying, polling half of recovery) under -race; then campaign and
+# it with the same results; then the store corruption/chaos suites
+# (opening an earlier version's 8-shard layout and the sequence-number
+# limit included), the in-process kill-rejoin/shedding/watchdog suites,
+# and the Remote client (the retrying, polling half of recovery) under
+# -race; then campaign and
 # exploration kill-and-resume, which fan out through the suite's store
 # hits, also under -race.
 crash-test:
 	$(GO) test -count=1 -run 'TestCrashRecoverySIGKILL' -v ./cmd/shrecd/
-	$(GO) test -race -count=1 -run 'TestChaos|TestPutRollback|TestOpenRejectsRegularFile|TestReopenPersists|TestCompaction|TestSyncAlways' ./internal/store/
+	$(GO) test -race -count=1 -run 'TestChaos|TestPutRollback|TestOpenRejectsRegularFile|TestOpenLegacyShardedLayout|TestSequenceNumberWrap|TestReopenPersists|TestCompaction|TestSyncAlways' ./internal/store/
 	$(GO) test -race -count=1 -run 'TestCrashRejoin|TestReplay|TestShedding|TestWatchdog' ./internal/shrecd/
 	$(GO) test -race -count=1 -run 'TestRemote' .
 	$(GO) test -race -count=1 -run 'TestCampaignResume|TestCampaignCancellation|TestRecoveryCampaignKillAndResume|TestCampaignOneRecordPerSimulation|TestCampaignIdentityAcrossResumeAndParallelism' ./internal/campaign/

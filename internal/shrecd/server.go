@@ -9,9 +9,9 @@
 // (polled via GET /explorations/{id} for the evaluation phase and the
 // Pareto frontier), GET /results lists every cached result, and
 // GET /metrics exposes the cache counters. All endpoints are backed by
-// one sharded, deduplicating sim.Suite, so duplicate in-flight requests
-// for the same (machine, benchmark, options) key execute the simulation
-// once, and request cancellation propagates into the engine's step loop.
+// one deduplicating sim.Suite, so duplicate in-flight requests for the
+// same (machine, benchmark, options) key execute the simulation once,
+// and request cancellation propagates into the engine's step loop.
 // A bounded worker pool caps concurrently-served simulation requests
 // independently of the suite's own run parallelism; campaigns and
 // explorations run in the background under the suite's parallelism
@@ -243,8 +243,8 @@ func (s *Server) registerMetrics() {
 		r.CounterFunc("shrecd_sim_"+f.Name+"_total", f.Help,
 			func() uint64 { return f.Value(s.sims.Counters()) })
 	}
-	// Shard sizes are summed without copying any results, so scrapes stay
-	// cheap no matter how large the cache grows.
+	// The cache size is read without copying any results, so scrapes
+	// stay cheap no matter how large the cache grows.
 	r.GaugeFunc("shrecd_results_cached",
 		"Results currently held in the in-memory cache.",
 		func() float64 { return float64(s.sims.Len()) })

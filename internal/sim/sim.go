@@ -3,19 +3,18 @@
 // aggregates IPCs the way the paper does (harmonic means over benchmark
 // classes).
 //
-// The Suite is built for heavy concurrent use: its result cache is
-// lock-striped across shards, duplicate in-flight requests for the same
-// (machine, benchmark, options) key are coalesced into one underlying run
-// (singleflight), every entry point accepts a context.Context for
-// cancellation and deadlines, and results can be persisted across
-// processes through an optional store.Store.
+// The Suite is safe for concurrent use: one mutex guards its result
+// cache, duplicate in-flight requests for the same (machine, benchmark,
+// options) key are coalesced into one underlying run (singleflight),
+// every entry point accepts a context.Context for cancellation and
+// deadlines, and results can be persisted across processes through an
+// optional store.Store.
 package sim
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"reflect"
 	"runtime"
 	"sort"
@@ -190,28 +189,12 @@ func newResult(m config.Machine, p trace.Profile, opt Options, st core.Stats, tr
 	}
 }
 
-// numShards stripes the result cache. A modest power of two keeps the
-// striping cheap while making lock contention negligible even with
-// hundreds of concurrent callers.
-const numShards = 32
-
 // call is one in-flight simulation shared by every caller that requested
 // the same key while it ran (singleflight).
 type call struct {
 	done chan struct{} // closed when res/err are valid
 	res  Result
 	err  error
-}
-
-// shard is one stripe of the result cache. sites holds the injection-site
-// counts of golden runs simulated by FetchGolden, next to their results;
-// it stays nil until the first count, so suites that run no campaign do
-// not build it.
-type shard struct {
-	mu       sync.Mutex
-	results  map[string]Result
-	inflight map[string]*call
-	sites    map[siteKey]uint64
 }
 
 // siteKey names one golden run's site count: the run's cache key and the
@@ -225,9 +208,17 @@ type siteKey struct {
 // configurations (for example Table 2 and Figures 3/4) reuse results.
 // All methods are safe for concurrent use.
 type Suite struct {
-	opt    Options
-	shards [numShards]shard
-	sem    chan struct{} // bounds concurrently executing simulations
+	opt Options
+	sem chan struct{} // bounds concurrently executing simulations
+
+	// mu guards the result cache: results by key, the in-flight runs,
+	// and sites, the injection-site counts of golden runs simulated by
+	// FetchGolden. sites stays nil until the first count, so suites that
+	// run no campaign do not build it.
+	mu       sync.Mutex
+	results  map[string]Result
+	inflight map[string]*call
+	sites    map[siteKey]uint64
 
 	disk *store.Store // optional cross-process persistence (nil = off)
 
@@ -303,14 +294,10 @@ func NewSuite(opt Options) *Suite {
 	if opt.Parallelism <= 0 {
 		opt.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	s := &Suite{opt: opt, sem: make(chan struct{}, opt.Parallelism),
+	return &Suite{opt: opt, sem: make(chan struct{}, opt.Parallelism),
+		results: make(map[string]Result), inflight: make(map[string]*call),
 		cps: make(map[string]*cpEntry), tapes: make(map[string]*tapeEntry),
 		evicted: make(map[string]weak.Pointer[trace.Tape])}
-	for i := range s.shards {
-		s.shards[i].results = make(map[string]Result)
-		s.shards[i].inflight = make(map[string]*call)
-	}
-	return s
 }
 
 // WithStore attaches a persistent result store: cache misses consult the
@@ -369,8 +356,8 @@ type Counters struct {
 	// Hits counts requests served without a fresh simulation: CacheHits +
 	// DedupWaits + StoreHits.
 	Hits uint64 `json:"hits" help:"Requests served from memory, store, or an in-flight duplicate."`
-	// CacheHits counts requests served from the in-memory striped cache.
-	CacheHits uint64 `json:"cache_hits" help:"Requests served from the in-memory striped result cache."`
+	// CacheHits counts requests served from the in-memory cache.
+	CacheHits uint64 `json:"cache_hits" help:"Requests served from the in-memory result cache."`
 	// CacheMisses counts requests that found neither a cached result nor
 	// an in-flight duplicate and went on to the store or a fresh run.
 	CacheMisses uint64 `json:"cache_misses" help:"Requests that found neither a cached result nor an in-flight duplicate."`
@@ -481,12 +468,6 @@ func key(m config.Machine, p trace.Profile, opt Options) string {
 		m.CkptInterval, m.CkptDepth)
 }
 
-func (s *Suite) shardFor(k string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(k))
-	return &s.shards[h.Sum32()%numShards]
-}
-
 // digest builds the persistent-store key. Unlike the in-memory key it
 // hashes the full machine configuration and workload profile, so renamed
 // or edited configurations never collide across processes. Only the run
@@ -549,11 +530,9 @@ func (s *Suite) FetchGolden(ctx context.Context, m config.Machine, p trace.Profi
 	if res, _, err = s.fetch(ctx, m, p, opt, &siteCount{lo: lo, hi: hi}, nil); err != nil {
 		return res, 0, false, err
 	}
-	sk := siteKey{key(m, p, opt), lo, hi}
-	sh := s.shardFor(sk.k)
-	sh.mu.Lock()
-	sites, known = sh.sites[sk]
-	sh.mu.Unlock()
+	s.mu.Lock()
+	sites, known = s.sites[siteKey{key(m, p, opt), lo, hi}]
+	s.mu.Unlock()
 	return res, sites, known, nil
 }
 
@@ -574,18 +553,17 @@ func (s *Suite) Derive(ctx context.Context, m config.Machine, p trace.Profile, o
 // non-nil and recording the count next to the cached result.
 func (s *Suite) fetch(ctx context.Context, m config.Machine, p trace.Profile, opt Options, count *siteCount, derived *Result) (Result, bool, error) {
 	k := key(m, p, opt)
-	sh := s.shardFor(k)
 	for {
 		look := time.Now()
-		sh.mu.Lock()
-		if res, ok := sh.results[k]; ok {
-			sh.mu.Unlock()
+		s.mu.Lock()
+		if res, ok := s.results[k]; ok {
+			s.mu.Unlock()
 			s.observeStage(ctx, "cache_lookup", look)
 			s.cacheHits.Add(1)
 			return res, false, nil
 		}
-		if c, ok := sh.inflight[k]; ok {
-			sh.mu.Unlock()
+		if c, ok := s.inflight[k]; ok {
+			s.mu.Unlock()
 			s.observeStage(ctx, "cache_lookup", look)
 			wait := time.Now()
 			select {
@@ -609,25 +587,25 @@ func (s *Suite) fetch(ctx context.Context, m config.Machine, p trace.Profile, op
 			}
 		}
 		c := &call{done: make(chan struct{})}
-		sh.inflight[k] = c
-		sh.mu.Unlock()
+		s.inflight[k] = c
+		s.mu.Unlock()
 		s.observeStage(ctx, "cache_lookup", look)
 		s.cacheMiss.Add(1)
 
 		var ran bool
 		c.res, ran, c.err = s.execute(ctx, m, p, opt, count, derived)
-		sh.mu.Lock()
+		s.mu.Lock()
 		if c.err == nil {
-			sh.results[k] = c.res
+			s.results[k] = c.res
 			if count != nil && count.ok {
-				if sh.sites == nil {
-					sh.sites = make(map[siteKey]uint64)
+				if s.sites == nil {
+					s.sites = make(map[siteKey]uint64)
 				}
-				sh.sites[siteKey{k, count.lo, count.hi}] = count.n
+				s.sites[siteKey{k, count.lo, count.hi}] = count.n
 			}
 		}
-		delete(sh.inflight, k)
-		sh.mu.Unlock()
+		delete(s.inflight, k)
+		s.mu.Unlock()
 		close(c.done)
 		return c.res, ran, c.err
 	}
@@ -925,17 +903,13 @@ func (s *Suite) Batch(ctx context.Context, machines []config.Machine, profiles [
 	}
 	out := make([]Result, len(machines)*len(profiles))
 	var jobs []job
+	// Read pairs already cached without counting a hit, so a warm batch
+	// spawns no goroutines and does not inflate the hit counter; races
+	// with concurrent fills are still covered by GetOpt's singleflight.
+	s.mu.Lock()
 	for j, p := range profiles {
 		for i, m := range machines {
-			// Read pairs already cached without counting a hit, so a warm
-			// batch spawns no goroutines and does not inflate the hit
-			// counter; races with concurrent fills are still covered by
-			// GetOpt's singleflight.
-			k := key(m, p, s.opt)
-			sh := s.shardFor(k)
-			sh.mu.Lock()
-			res, ok := sh.results[k]
-			sh.mu.Unlock()
+			res, ok := s.results[key(m, p, s.opt)]
 			o := i*len(profiles) + j
 			if !ok {
 				jobs = append(jobs, job{o, m, p})
@@ -943,6 +917,7 @@ func (s *Suite) Batch(ctx context.Context, machines []config.Machine, profiles [
 			out[o] = res
 		}
 	}
+	s.mu.Unlock()
 
 	var wg sync.WaitGroup
 	var next atomic.Int64
@@ -1006,32 +981,24 @@ func JoinFanOut(ctx context.Context, errs []error, interrupted func(done, total 
 	return errors.Join(append(real, interrupted(len(errs)-len(failed), len(errs)))...)
 }
 
-// Len reports how many results are cached, summing shard sizes without
-// copying any entries — the cheap gauge behind shrecd_results_cached
-// (Results would copy the whole cache on every scrape).
+// Len reports how many results are cached without copying any entries —
+// the cheap gauge behind shrecd_results_cached (Results would copy the
+// whole cache on every scrape).
 func (s *Suite) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.results)
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.results)
 }
 
 // Results returns a snapshot of every cached result, sorted by machine
 // then benchmark for stable output (the shrecd GET /results endpoint).
 func (s *Suite) Results() []Result {
 	var out []Result
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, r := range sh.results {
-			out = append(out, r)
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	for _, r := range s.results {
+		out = append(out, r)
 	}
+	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Machine != b.Machine {

@@ -57,7 +57,7 @@ func verify(t *testing.T, s *Store, n int, missing map[int]bool) {
 func TestChaosTornTail(t *testing.T) {
 	s, path := fill(t, 16)
 	victim := Digest("chaos", 3)
-	seg := s.ActiveSegment(victim)
+	seg := s.ActiveSegment()
 	s.Close()
 
 	// Tear: append a record prefix — header plus part of the payload.
@@ -83,7 +83,7 @@ func TestChaosTornTail(t *testing.T) {
 	if got := fileSize(t, seg); got != preSize-int64(len(rec)-5) {
 		t.Fatalf("torn tail not truncated: %d bytes, want %d", got, preSize-int64(len(rec)-5))
 	}
-	// The shard must accept appends on the clean boundary.
+	// The store must accept appends on the clean boundary.
 	if err := s2.Put(victim, payload{Value: 333}); err != nil {
 		t.Fatal(err)
 	}
@@ -98,19 +98,10 @@ func TestChaosTornTail(t *testing.T) {
 // record after it in the same file still loads, and the quarantine is
 // counted and logged.
 func TestChaosBitflipMidRecord(t *testing.T) {
-	// One shard forces every record into a single file, so "records
-	// after the corrupt one" is guaranteed non-empty.
-	path := filepath.Join(t.TempDir(), "s")
-	s, err := OpenWith(path, Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		if err := s.Put(Digest("chaos", i), payload{Name: fmt.Sprint(i), Value: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seg := s.ActiveSegment(Digest("chaos", 0))
+	// Every record lands in the one active file, so "records after the
+	// corrupt one" is guaranteed non-empty.
+	s, path := fill(t, 16)
+	seg := s.ActiveSegment()
 	s.Close()
 
 	data, err := os.ReadFile(seg)
@@ -122,7 +113,7 @@ func TestChaosBitflipMidRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenWith(path, Options{Shards: 1})
+	s2, err := Open(path)
 	if err != nil {
 		t.Fatalf("bitflip failed Open: %v", err)
 	}
@@ -160,7 +151,7 @@ func TestChaosBitflipMidRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.Close()
-	s3, err := OpenWith(path, Options{Shards: 1})
+	s3, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,29 +166,29 @@ func TestChaosBitflipMidRecord(t *testing.T) {
 // number, whichever file order the opener visits.
 func TestChaosDuplicateKeyAcrossSegments(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s")
-	s, err := OpenWith(path, Options{Shards: 1})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put("seed", payload{Value: 0}) // create shard-00-000001.seg
+	s.Put("seed", payload{Value: 0}) // create the generation-1 segment
 	s.Close()
 
 	old := EncodeRecord(100, "dup", []byte(`{"name":"old","value":1}`))
 	newer := EncodeRecord(200, "dup", []byte(`{"name":"new","value":2}`))
 	// Older generation carries the NEWER sequence's record too: LWW must
 	// follow sequence numbers, not just file order.
-	gen1 := filepath.Join(path, SegName(0, 1))
+	gen1 := filepath.Join(path, SegName(1))
 	f, err := os.OpenFile(gen1, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Write(newer)
 	f.Close()
-	if err := os.WriteFile(filepath.Join(path, SegName(0, 2)), old, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(path, SegName(2)), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenWith(path, Options{Shards: 1})
+	s2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +203,13 @@ func TestChaosDuplicateKeyAcrossSegments(t *testing.T) {
 }
 
 // TestChaosEmptySegmentFile pins that a zero-byte segment (creat
-// succeeded, every append lost) neither fails Open nor perturbs other
-// shards.
+// succeeded, every append lost) neither fails Open nor perturbs the
+// records in other segments.
 func TestChaosEmptySegmentFile(t *testing.T) {
 	s, path := fill(t, 8)
 	s.Close()
-	// An empty file for a shard that already has data, and one for a
-	// shard generation that never got records.
-	if err := os.WriteFile(filepath.Join(path, SegName(0, 7)), nil, 0o644); err != nil {
+	// An empty file for a generation that never got records.
+	if err := os.WriteFile(filepath.Join(path, SegName(7)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(path)
@@ -243,7 +233,7 @@ func TestChaosGarbageSegment(t *testing.T) {
 	for i := range garbage {
 		garbage[i] = byte(i*7 + 1)
 	}
-	if err := os.WriteFile(filepath.Join(path, SegName(1, 5)), garbage, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(path, SegName(5)), garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(path)

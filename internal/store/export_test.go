@@ -3,33 +3,20 @@ package store
 // Test-only access to internals: failpoints and framing helpers for the
 // corruption-matrix and chaos tests.
 
-// FailNextAppend arms a failpoint on key's shard: the next append writes
-// only n bytes of the record (a torn write) and reports an error.
-func (s *Store) FailNextAppend(key string, n int) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	sh.testFail = n + 1
-	sh.mu.Unlock()
-}
-
-// ShardIndex exposes the key → shard mapping so tests can craft segment
-// files for a specific key.
-func (s *Store) ShardIndex(key string) int {
-	for i, sh := range s.shards {
-		if s.shardOf(key) == sh {
-			return i
-		}
-	}
-	return -1
+// FailNextAppend arms a failpoint: the next append writes only n bytes
+// of the record (a torn write) and reports an error.
+func (s *Store) FailNextAppend(n int) {
+	s.mu.Lock()
+	s.testFail = n + 1
+	s.mu.Unlock()
 }
 
 // ActiveSegment returns the path of the segment file currently receiving
-// key's appends ("" before the first append).
-func (s *Store) ActiveSegment(key string) string {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.path
+// appends ("" before the first append).
+func (s *Store) ActiveSegment() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.path
 }
 
 // EncodeRecord exposes the on-disk framing so tests can hand-craft
@@ -39,7 +26,7 @@ func EncodeRecord(seq uint64, key string, value []byte) []byte {
 }
 
 // SegName exposes segment-file naming for hand-crafted layouts.
-func SegName(shard, gen int) string { return segName(shard, gen) }
+func SegName(gen int) string { return segName(gen) }
 
 // HeaderSize exposes the record header length for corruption targeting.
 const HeaderSize = headerSize

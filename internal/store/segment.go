@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,11 +24,13 @@ import (
 // forward for the next header that frames a complete, checksum-valid
 // record and quarantines whatever it skipped. The sequence number is a
 // store-wide monotonic counter, so "last write wins" is exact even when
-// one key's records span segment generations.
+// one key's records span segment generations. A record above maxSeq is
+// corrupt: the opener's next sequence number would wrap past it.
 const (
 	recMagic   = 0x53454731 // "SEG1"
 	headerSize = 12
 	maxPayload = 1 << 28 // sanity bound on payloadLen in a header
+	maxSeq     = math.MaxUint64 - 1
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -49,9 +52,10 @@ func encodeRecord(seq uint64, key string, value []byte) []byte {
 
 // decodeRecordAt frames the record starting at data[off:], returning its
 // total length. ok is false when the bytes at off do not hold a
-// complete, checksum-valid record; torn reports the special case of a
-// record whose header is sane but whose bytes run past the end of data
-// (an interrupted append at the tail).
+// complete, checksum-valid record with a sequence number up to maxSeq;
+// torn reports the special case of a record whose header is sane but
+// whose bytes run past the end of data (an interrupted append at the
+// tail).
 func decodeRecordAt(data []byte, off int) (seq uint64, key string, value []byte, size int, ok, torn bool) {
 	rest := data[off:]
 	if len(rest) < headerSize {
@@ -81,6 +85,9 @@ func decodeRecordAt(data []byte, off int) (seq uint64, key string, value []byte,
 		return 0, "", nil, 0, false, false
 	}
 	seq = binary.LittleEndian.Uint64(payload[0:])
+	if seq > maxSeq {
+		return 0, "", nil, 0, false, false
+	}
 	key = string(payload[12 : 12+klen])
 	value = payload[12+klen:]
 	return seq, key, value, headerSize + int(plen), true, false
@@ -94,97 +101,60 @@ func prefixMatchesMagic(b []byte) bool {
 	return bytes.HasPrefix(m[:], b) || bytes.HasPrefix(b, m[:])
 }
 
-// segName renders a segment filename.
-func segName(shard, gen int) string {
-	return fmt.Sprintf("shard-%02d-%06d.seg", shard, gen)
+// segName renders a segment filename. The shard field is always 00.
+// Earlier versions spread keys over several shards' files; they open a
+// store written now as a one-shard store.
+func segName(gen int) string {
+	return fmt.Sprintf("shard-00-%06d.seg", gen)
 }
 
-// parseSegName extracts (shard, gen) from a segment filename.
-func parseSegName(name string) (shardID, gen int, ok bool) {
-	var s, g int
-	if n, err := fmt.Sscanf(name, "shard-%d-%d.seg", &s, &g); err != nil || n != 2 {
-		return 0, 0, false
+// parseSegName extracts the generation from a segment filename,
+// including the other shards' files of an earlier version's layout.
+func parseSegName(name string) (gen int, ok bool) {
+	var shard int
+	if n, err := fmt.Sscanf(name, "shard-%d-%d.seg", &shard, &gen); err != nil || n != 2 {
+		return 0, false
 	}
-	return s, g, true
-}
-
-// maxShardInNames infers a lost shard count from segment filenames.
-func maxShardInNames(dir string) int {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	max := 0
-	for _, e := range ents {
-		if s, _, ok := parseSegName(e.Name()); ok && s+1 > max {
-			max = s + 1
-		}
-	}
-	return max
+	return gen, true
 }
 
 // loadSegments scans every segment file: good records build the index
 // (highest sequence number wins), torn tails are truncated, and corrupt
 // regions are skipped and quarantined. No corruption class fails the
-// open — the worst case for a record is that it must be recomputed.
+// open — the worst case for a record is that it must be recomputed. The
+// file of the highest generation becomes the append segment.
 func (s *Store) loadSegments() error {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	type seg struct {
-		shard, gen int
-		path       string
+		gen  int
+		path string
 	}
 	var segs []seg
 	for _, e := range ents {
-		shardID, gen, ok := parseSegName(e.Name())
-		if !ok {
-			continue
+		if gen, ok := parseSegName(e.Name()); ok {
+			segs = append(segs, seg{gen, filepath.Join(s.dir, e.Name())})
 		}
-		if shardID >= s.nshard {
-			// A file from a wider layout than meta records; still scan it
-			// (keys re-shard by hash), grouped with its modulo shard so it
-			// is owned — and eventually compacted away — by somebody.
-			shardID %= s.nshard
-		}
-		segs = append(segs, seg{shardID, gen, filepath.Join(s.dir, e.Name())})
 	}
-	// Generation order, then shard: within a shard this is write order,
-	// which the per-record sequence numbers then refine exactly.
-	sort.Slice(segs, func(a, b int) bool {
-		if segs[a].gen != segs[b].gen {
-			return segs[a].gen < segs[b].gen
-		}
-		return segs[a].shard < segs[b].shard
-	})
-	var maxSeq uint64
+	// Generation order, then name (ReadDir sorts by name): this is write
+	// order, which the per-record sequence numbers then refine exactly.
+	sort.SliceStable(segs, func(a, b int) bool { return segs[a].gen < segs[b].gen })
 	for _, sg := range segs {
-		sh := s.shards[sg.shard]
-		top, err := s.scanSegment(sh, sg.path, &maxSeq)
+		top, err := s.scanSegment(sg.path)
 		if err != nil {
 			return err
 		}
-		sh.files = append(sh.files, sg.path)
-		if sg.gen >= sh.gen {
-			sh.gen = sg.gen
-			sh.path = sg.path
-			sh.size = top
-		}
+		s.files = append(s.files, sg.path)
+		s.gen, s.path, s.size = sg.gen, sg.path, top
 	}
-	s.seqMu.Lock()
-	if s.seq <= maxSeq {
-		s.seq = maxSeq + 1
-	}
-	s.seqMu.Unlock()
 	return nil
 }
 
 // scanSegment reads one segment file into the index, returning the
-// file's size after any torn-tail truncation. fileShard is the shard
-// owning the file (for dead-byte accounting of quarantined regions);
-// records themselves index into their key's hash shard.
-func (s *Store) scanSegment(fileShard *shard, path string, maxSeq *uint64) (int64, error) {
+// file's size after any torn-tail truncation.
+func (s *Store) scanSegment(path string) (int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, fmt.Errorf("store: reading %s: %w", path, err)
@@ -193,9 +163,6 @@ func (s *Store) scanSegment(fileShard *shard, path string, maxSeq *uint64) (int6
 	for off < len(data) {
 		seq, key, value, size, ok, torn := decodeRecordAt(data, off)
 		if ok {
-			if seq > *maxSeq {
-				*maxSeq = seq
-			}
 			s.insertLoaded(key, value, seq, int64(size))
 			off += size
 			continue
@@ -206,19 +173,17 @@ func (s *Store) scanSegment(fileShard *shard, path string, maxSeq *uint64) (int6
 		// tail (or trailing garbage): truncate so future appends start at
 		// a record boundary.
 		if next := nextValidRecord(data, off+1); next >= 0 {
-			s.quarantine(path, off, next-off, "corrupt record (checksum or framing)")
+			s.quarantined++
+			s.logQuarantine(path, off, next-off, "corrupt record (checksum or framing)")
 			// The skipped bytes stay in the file as dead weight until
 			// compaction scrubs them.
-			fileShard.mu.Lock()
-			fileShard.total += int64(next - off)
-			fileShard.mu.Unlock()
+			s.total += int64(next - off)
 			off = next
 			continue
 		}
 		if err := os.Truncate(path, int64(off)); err != nil {
 			return 0, fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
 		}
-		s.statMu.Lock()
 		if torn {
 			s.tornTails++
 		} else {
@@ -226,9 +191,6 @@ func (s *Store) scanSegment(fileShard *shard, path string, maxSeq *uint64) (int6
 			// count it as quarantined corruption (the bytes are gone
 			// either way, but the distinction matters for diagnosis).
 			s.quarantined++
-		}
-		s.statMu.Unlock()
-		if !torn {
 			s.logQuarantine(path, off, len(data)-off, "corrupt trailing region (truncated)")
 		}
 		data = data[:off]
@@ -236,26 +198,26 @@ func (s *Store) scanSegment(fileShard *shard, path string, maxSeq *uint64) (int6
 	return int64(len(data)), nil
 }
 
-// insertLoaded adds a scanned record to its hash shard, last write
-// (highest seq) winning.
+// insertLoaded adds a scanned record to the index, last write (highest
+// seq) winning, and moves the next sequence number past it.
 func (s *Store) insertLoaded(key string, value []byte, seq uint64, size int64) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.total += size
-	old, exists := sh.index[key]
+	if seq >= s.seq {
+		s.seq = seq + 1 // decodeRecordAt admits no seq above maxSeq
+	}
+	s.total += size
+	old, exists := s.index[key]
 	if exists && old.seq >= seq {
 		return // this record is superseded: dead bytes
 	}
 	if exists {
-		sh.live -= old.size
+		s.live -= old.size
 	}
-	sh.live += size
+	s.live += size
 	// Copy the value out of the scan buffer so the index does not pin
 	// whole segment files in memory.
 	raw := make(json.RawMessage, len(value))
 	copy(raw, value)
-	sh.index[key] = entry{raw: raw, seq: seq, size: size}
+	s.index[key] = entry{raw: raw, seq: seq, size: size}
 }
 
 // nextValidRecord scans data from off for the next offset framing a
@@ -277,15 +239,6 @@ func nextValidRecord(data []byte, off int) int {
 	return -1
 }
 
-// quarantine records a skipped corrupt region: counted for /healthz and
-// logged to quarantine.log for diagnosis.
-func (s *Store) quarantine(path string, off, length int, reason string) {
-	s.statMu.Lock()
-	s.quarantined++
-	s.statMu.Unlock()
-	s.logQuarantine(path, off, length, reason)
-}
-
 // logQuarantine appends one JSON line to quarantine.log (best effort:
 // quarantine bookkeeping must never fail the store).
 func (s *Store) logQuarantine(path string, off, length int, reason string) {
@@ -301,112 +254,104 @@ func (s *Store) logQuarantine(path string, off, length int, reason string) {
 	f.Write(append(line, '\n'))
 }
 
-// openActiveLocked opens (or creates) the shard's append segment. Caller
-// holds sh.mu.
-func (s *Store) openActiveLocked(sh *shard) error {
-	if sh.path == "" {
-		sh.gen = 1
-		sh.path = filepath.Join(s.dir, segName(sh.id, sh.gen))
-		sh.files = append(sh.files, sh.path)
-		sh.size = 0
+// openActiveLocked opens (or creates) the append segment. Caller holds
+// s.mu.
+func (s *Store) openActiveLocked() error {
+	if s.path == "" {
+		s.gen = 1
+		s.path = filepath.Join(s.dir, segName(s.gen))
+		s.files = append(s.files, s.path)
+		s.size = 0
 	}
-	f, err := os.OpenFile(sh.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	sh.active = f
+	s.active = f
 	return nil
 }
 
-// Compact rewrites every shard that carries dead bytes or spans multiple
+// Compact rewrites the store when it carries dead bytes or spans several
 // segment files, dropping superseded records and scrubbing quarantined
-// regions. Put triggers the same rewrite per shard automatically once
-// dead bytes outweigh live ones.
+// regions. Put triggers the same rewrite automatically once dead bytes
+// outweigh live ones.
 func (s *Store) Compact() error {
-	var firstErr error
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.total != sh.live || len(sh.files) > 1 {
-			if err := s.compactShardLocked(sh); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.total == s.live && len(s.files) <= 1 {
+		return nil
 	}
-	return firstErr
+	return s.compactLocked()
 }
 
-// compactShardLocked rewrites the shard's live records into a fresh
-// segment generation and removes the old files. Crash-safe ordering:
-// the new segment is written and synced under a temporary name, renamed
-// into place, and only then are the old files removed — a crash at any
-// point leaves either the old files or a complete new one (duplicate
-// records across old and new resolve by sequence number at the next
-// open). Caller holds sh.mu.
-func (s *Store) compactShardLocked(sh *shard) error {
-	newGen := sh.gen + 1
-	newPath := filepath.Join(s.dir, segName(sh.id, newGen))
+// compactLocked rewrites the live records into a fresh segment
+// generation and removes the old files. Crash-safe ordering: the new
+// segment is written and synced under a temporary name, renamed into
+// place, and only then are the old files removed — a crash at any point
+// leaves either the old files or a complete new one (duplicate records
+// across old and new resolve by sequence number at the next open).
+// Caller holds s.mu.
+func (s *Store) compactLocked() error {
+	newGen := s.gen + 1
+	newPath := filepath.Join(s.dir, segName(newGen))
 	tmp := newPath + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: compacting shard %d: %w", sh.id, err)
+		return fmt.Errorf("store: compacting: %w", err)
 	}
 	// Rewrite in sequence order so the compacted file preserves write
 	// order (and byte-for-byte determinism for a given index state).
-	keys := make([]string, 0, len(sh.index))
-	for k := range sh.index {
+	keys := make([]string, 0, len(s.index))
+	for k := range s.index {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(a, b int) bool { return sh.index[keys[a]].seq < sh.index[keys[b]].seq })
+	sort.Slice(keys, func(a, b int) bool { return s.index[keys[a]].seq < s.index[keys[b]].seq })
 	var written int64
 	for _, k := range keys {
-		e := sh.index[k]
+		e := s.index[k]
 		rec := encodeRecord(e.seq, k, e.raw)
 		if _, err := f.Write(rec); err != nil {
 			f.Close()
 			os.Remove(tmp)
-			return fmt.Errorf("store: compacting shard %d: %w", sh.id, err)
+			return fmt.Errorf("store: compacting: %w", err)
 		}
 		e.size = int64(len(rec))
-		sh.index[k] = e
+		s.index[k] = e
 		written += int64(len(rec))
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("store: compacting shard %d: %w", sh.id, err)
+		return fmt.Errorf("store: compacting: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("store: compacting shard %d: %w", sh.id, err)
+		return fmt.Errorf("store: compacting: %w", err)
 	}
 	if err := os.Rename(tmp, newPath); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("store: compacting shard %d: %w", sh.id, err)
+		return fmt.Errorf("store: compacting: %w", err)
 	}
 	syncDir(s.dir)
 
 	// The new generation is durable; retire the old files.
-	if sh.active != nil {
-		sh.active.Close()
-		sh.active = nil
+	if s.active != nil {
+		s.active.Close()
+		s.active = nil
 	}
-	for _, old := range sh.files {
+	for _, old := range s.files {
 		if old != newPath {
 			os.Remove(old)
 		}
 	}
-	sh.files = []string{newPath}
-	sh.gen = newGen
-	sh.path = newPath
-	sh.size = written
-	sh.total = written
-	sh.live = written
-
-	s.statMu.Lock()
+	s.files = []string{newPath}
+	s.gen = newGen
+	s.path = newPath
+	s.size = written
+	s.total = written
+	s.live = written
 	s.compactions++
 	s.lastCompaction = time.Now()
-	s.statMu.Unlock()
 	return nil
 }
 

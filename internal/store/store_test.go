@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,6 +60,11 @@ func TestReopenPersists(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	// A fresh store holds its one segment file and nothing else.
+	if ents, _ := os.ReadDir(path); len(ents) != 1 || ents[0].Name() != SegName(1) {
+		t.Fatalf("fresh store directory holds %v, want only %s", ents, SegName(1))
 	}
 
 	s2, err := Open(path)
@@ -159,7 +166,7 @@ func TestPutRollbackOnWriteError(t *testing.T) {
 	if err := s.Put("good", payload{Name: "x", Value: 1}); err != nil {
 		t.Fatal(err)
 	}
-	s.FailNextAppend("victim", 7) // write 7 bytes of the record, then fail
+	s.FailNextAppend(7) // write 7 bytes of the record, then fail
 	if err := s.Put("victim", payload{Name: "torn", Value: 2}); err == nil {
 		t.Fatal("injected write failure did not surface")
 	}
@@ -217,16 +224,17 @@ func TestOpenRejectsRegularFile(t *testing.T) {
 	}
 }
 
-// TestCompactionDropsSuperseded pins that compaction rewrites a shard to
-// only its live records and that everything survives a reopen.
+// TestCompactionDropsSuperseded pins that compaction rewrites the store
+// to only its live records and that everything survives a reopen.
 func TestCompactionDropsSuperseded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s")
-	s, err := OpenWith(path, Options{NoAutoCompact: true})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		// Same 5 keys rewritten 10 times: 90% dead bytes.
+		// Same 5 keys rewritten 10 times: 90% dead bytes, but a few KiB,
+		// far below the auto-compaction threshold.
 		if err := s.Put(Digest("ck", i%5), payload{Value: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +279,7 @@ func TestCompactionDropsSuperseded(t *testing.T) {
 }
 
 // TestAutoCompactionTriggers pins the dead-bytes trigger: rewriting one
-// key far past the threshold must shrink the shard without any explicit
+// key far past the threshold must shrink the store without any explicit
 // Compact call.
 func TestAutoCompactionTriggers(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "s"))
@@ -298,38 +306,156 @@ func TestAutoCompactionTriggers(t *testing.T) {
 	}
 }
 
-// TestShardCountPinnedByMeta pins that reopening with a different
-// Options.Shards keeps the created layout (meta.json wins), so the key →
-// file mapping never shifts under an existing store.
-func TestShardCountPinnedByMeta(t *testing.T) {
+// TestOpenLegacyShardedLayout opens a store laid out by earlier
+// versions, which hashed keys (FNV-1a mod 8) over eight shards' segment
+// files beside a meta.json: every key serves its newest value, including
+// one superseded across two generations of its shard; a Put wins across
+// a reopen; Compact folds the files into one; and a reopen serves the
+// same contents.
+func TestOpenLegacyShardedLayout(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s")
-	s, err := OpenWith(path, Options{Shards: 4})
-	if err != nil {
+	if err := os.MkdirAll(path, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 32; i++ {
-		if err := s.Put(Digest("sp", i), payload{Value: float64(i)}); err != nil {
+	if err := os.WriteFile(filepath.Join(path, "meta.json"), []byte(`{"version":1,"shards":8}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := func(seq uint64, key, name string) []byte {
+		return EncodeRecord(seq, key, []byte(fmt.Sprintf(`{"name":%q,"value":%d}`, name, seq)))
+	}
+	// Each key sits in its FNV shard. Shard 6 was compacted into
+	// generation 2 and the process died before it removed generation 1;
+	// the next process appended dup's newest value to generation 2.
+	// Shard 3 was compacted twice.
+	files := map[string][]byte{
+		"shard-00-000001.seg": rec(5, "e", "e"),
+		"shard-01-000001.seg": rec(6, "f", "f"),
+		"shard-02-000001.seg": rec(3, "c", "c"),
+		"shard-03-000003.seg": rec(4, "d", "d"),
+		"shard-04-000001.seg": append(rec(1, "a", "a"), rec(10, "i", "i")...),
+		"shard-05-000001.seg": rec(2, "b", "b"),
+		"shard-06-000001.seg": append(rec(7, "g", "g"), rec(9, "dup", "old")...),
+		"shard-06-000002.seg": append(append(rec(7, "g", "g"), rec(9, "dup", "old")...), rec(12, "dup", "new")...),
+		"shard-07-000001.seg": rec(8, "h", "h"),
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(path, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.Close()
-	s2, err := OpenWith(path, Options{Shards: 16})
+	want := map[string]payload{"dup": {"new", 12}}
+	for k, seq := range map[string]float64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5, "f": 6, "g": 7, "h": 8, "i": 10} {
+		want[k] = payload{k, seq}
+	}
+	check := func(s *Store) {
+		t.Helper()
+		if s.Len() != len(want) {
+			t.Fatalf("len = %d, want %d", s.Len(), len(want))
+		}
+		for k, w := range want {
+			var out payload
+			if ok, err := s.Get(k, &out); err != nil || !ok || out != w {
+				t.Fatalf("key %s: ok=%v err=%v %+v, want %+v", k, ok, err, out, w)
+			}
+		}
+	}
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if got := s2.Stats().Shards; got != 4 {
-		t.Fatalf("shard count drifted to %d, want pinned 4", got)
+	check(s)
+	if st := s.Stats(); st.Segments != len(files) || st.Quarantined != 0 || st.TornTails != 0 {
+		t.Fatalf("legacy open: %+v", st)
 	}
-	if s2.Len() != 32 {
-		t.Fatalf("len = %d, want 32", s2.Len())
-	}
-	var out payload
-	for i := 0; i < 32; i++ {
-		if ok, _ := s2.Get(Digest("sp", i), &out); !ok || out.Value != float64(i) {
-			t.Fatalf("key %d lost across shard-option change", i)
+	for k, w := range map[string]payload{"dup": {"put", 13}, "j": {"put", 14}} {
+		if err := s.Put(k, w); err != nil {
+			t.Fatal(err)
 		}
+		want[k] = w
 	}
+	s.Close()
+
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	check(s)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(path, "*.seg*"))
+	if len(segs) != 1 || s.Stats().Segments != 1 {
+		t.Fatalf("compaction left %d segment files (%d tracked), want 1: %v", len(segs), s.Stats().Segments, segs)
+	}
+	check(s)
+	s.Close()
+
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s)
+	if st := s.Stats(); st.Segments != 1 || st.DeadBytes != 0 {
+		t.Fatalf("reopen after compaction: %+v", st)
+	}
+}
+
+// TestSequenceNumberWrap pins that record sequence numbers never wrap. A
+// checksum-valid record at 2^64-1 would move the next sequence number to
+// 0, so a later Put of its key would lose to it at the next open: the
+// record is quarantined instead. A record at 2^64-2 leaves no number to
+// hand out, so Put refuses instead of wrapping.
+func TestSequenceNumberWrap(t *testing.T) {
+	open := func(t *testing.T, seq uint64) (*Store, string) {
+		path := filepath.Join(t.TempDir(), "s")
+		if err := os.MkdirAll(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		rec := EncodeRecord(seq, "k", []byte(`{"name":"old","value":1}`))
+		if err := os.WriteFile(filepath.Join(path, SegName(1)), rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, path
+	}
+	get := func(t *testing.T, path string) (payload, bool) {
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var out payload
+		ok, err := s.Get("k", &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, ok
+	}
+	t.Run("2^64-1", func(t *testing.T) {
+		s, path := open(t, math.MaxUint64)
+		if st := s.Stats(); st.Keys != 0 || st.Quarantined != 1 {
+			t.Fatalf("record at 2^64-1 not quarantined: %+v", st)
+		}
+		if err := s.Put("k", payload{Name: "new", Value: 2}); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if out, ok := get(t, path); !ok || out.Name != "new" {
+			t.Fatalf("the Put lost across a reopen: ok=%v %+v", ok, out)
+		}
+	})
+	t.Run("2^64-2", func(t *testing.T) {
+		s, path := open(t, math.MaxUint64-1)
+		if err := s.Put("k", payload{Name: "new", Value: 2}); !errors.Is(err, errSeqExhausted) {
+			t.Fatalf("Put with no sequence number left: %v, want %v", err, errSeqExhausted)
+		}
+		s.Close()
+		if out, ok := get(t, path); !ok || out.Name != "old" {
+			t.Fatalf("refused Put changed the store: ok=%v %+v", ok, out)
+		}
+	})
 }
 
 func TestSyncAlwaysPolicy(t *testing.T) {
