@@ -120,7 +120,9 @@ examples:
 
 # CLI smoke: run each batch command (experiments, explore, faultstudy)
 # twice at tiny run lengths on one -store directory. The second run must
-# simulate nothing: its counter line on stderr reads "(runs=0 ...".
+# simulate nothing: its counter line on stderr reads "(runs=0 ...". The
+# first experiments pass must count no hits: every experiment reads its
+# aggregates from the results of its own batch.
 # explore must reject a bad -format with exit 2 before it opens its store
 # or simulates anything.
 CLI_SMOKE_LENGTHS = -warmup 2000 -n 5000
@@ -134,6 +136,11 @@ cli-smoke:
 		name=$${cmd%% *}; \
 		for pass in 1 2; do \
 			"$$d"/$$cmd -store "$$d/$$name.db" >/dev/null 2>"$$d/$$name.err"; \
+			if [ $$pass = 1 ] && [ $$name = experiments ]; then \
+				line=$$(grep '^(runs=' "$$d/$$name.err" || true); \
+				echo "cli-smoke: $$name first pass $$line"; \
+				case "$$line" in *" hits="*) echo "cli-smoke: $$name first pass counted hits"; exit 1;; esac; \
+			fi; \
 		done; \
 		line=$$(grep '^(runs=' "$$d/$$name.err" || true); \
 		echo "cli-smoke: $$name rerun $$line"; \
@@ -188,15 +195,15 @@ fuzz-smoke:
 # Crash-recovery acceptance: SIGKILL a real shrecd mid-campaign and
 # assert the restarted server re-adopts the journaled job and finishes
 # it with the same results; then the store corruption/chaos suites
-# (opening an earlier version's 8-shard layout and the sequence-number
-# limit included), the in-process kill-rejoin/shedding/watchdog suites,
+# (opening an earlier version's 8-shard layout, a compaction's leftover
+# temporary file and the sequence-number limit included), the in-process kill-rejoin/shedding/watchdog suites,
 # and the Remote client (the retrying, polling half of recovery) under
 # -race; then campaign and
 # exploration kill-and-resume, which fan out through the suite's store
 # hits, also under -race.
 crash-test:
 	$(GO) test -count=1 -run 'TestCrashRecoverySIGKILL' -v ./cmd/shrecd/
-	$(GO) test -race -count=1 -run 'TestChaos|TestPutRollback|TestOpenRejectsRegularFile|TestOpenLegacyShardedLayout|TestSequenceNumberWrap|TestReopenPersists|TestCompaction|TestSyncAlways' ./internal/store/
+	$(GO) test -race -count=1 -run 'TestChaos|TestPutRollback|TestOpenRejectsRegularFile|TestOpenLegacyShardedLayout|TestOpenCompactionTempFile|TestSequenceNumberWrap|TestReopenPersists|TestCompaction|TestSyncAlways' ./internal/store/
 	$(GO) test -race -count=1 -run 'TestCrashRejoin|TestReplay|TestShedding|TestWatchdog' ./internal/shrecd/
 	$(GO) test -race -count=1 -run 'TestRemote' .
 	$(GO) test -race -count=1 -run 'TestCampaignResume|TestCampaignCancellation|TestRecoveryCampaignKillAndResume|TestCampaignOneRecordPerSimulation|TestCampaignIdentityAcrossResumeAndParallelism' ./internal/campaign/

@@ -258,7 +258,7 @@ func (c *Client) Simulate(ctx context.Context, m Machine, benchmark string) (Res
 
 // SimulateProfile runs a custom workload profile on machine m.
 func (c *Client) SimulateProfile(ctx context.Context, m Machine, p Profile) (Result, error) {
-	return c.sims.Get(ctx, m, p)
+	return c.sims.GetOpt(ctx, m, p, c.sims.Options())
 }
 
 // Sweep fans out every (machine, profile) pair in parallel — duplicate

@@ -202,13 +202,13 @@ func BenchmarkSuiteCache(b *testing.B) {
 	ctx := context.Background()
 	p, _ := workload.ByName("gzip-graphic")
 	m := config.SS1()
-	if _, err := s.Get(ctx, m, p); err != nil {
+	if _, err := s.GetOpt(ctx, m, p, s.Options()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Get(ctx, m, p); err != nil {
+		if _, err := s.GetOpt(ctx, m, p, s.Options()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ func TestThousandTrialCampaign(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var killedAt int
-	_, err = New(quickSuite().WithStore(st)).Run(ctx, spec, func(p Progress) {
+	_, err = Run(ctx, quickSuite().WithStore(st), spec, func(p Progress) {
 		if p.Done >= 200 && killedAt == 0 {
 			killedAt = p.Done
 			cancel()
@@ -51,7 +51,7 @@ func TestThousandTrialCampaign(t *testing.T) {
 	}
 	defer st2.Close()
 	sims := quickSuite()
-	res, err := New(sims.WithStore(st2)).Run(context.Background(), spec, nil)
+	res, err := Run(context.Background(), sims.WithStore(st2), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

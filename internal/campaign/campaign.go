@@ -21,9 +21,10 @@
 //     its instructions (a recovery livelock)
 //   - clean:     the Bernoulli injector never fired in the window
 //
-// Trials fan out through the shared sim.Suite, so they parallelize under
-// its semaphore, deduplicate via singleflight, and (with a store attached
-// to the suite) persist across processes as ordinary simulation results.
+// Trials fan out through the shared sim.Suite (Suite.FanOut), so they
+// parallelize under its bound, deduplicate via singleflight, and (with a
+// store attached to the suite) persist across processes as ordinary
+// simulation results.
 // A trial is a pure function of its machine, workload and options, so a
 // killed campaign rerun over the same store picks up where it left off:
 // every finished trial is a store hit, and Result.Resumed counts exactly
@@ -233,8 +234,8 @@ type Counts struct {
 	Clean    int `json:"clean"`
 }
 
-// add tallies one outcome.
-func (c *Counts) add(o Outcome) {
+// Add tallies one outcome.
+func (c *Counts) Add(o Outcome) {
 	switch o {
 	case OutcomeDetected:
 		c.Detected++
@@ -279,10 +280,11 @@ func estimate(successes, n int) Estimate {
 	return e
 }
 
-// coverage is the campaign's headline estimate: the fraction of faulted
+// Coverage is the campaign's headline estimate: the fraction of faulted
 // trials whose faults stayed architecturally harmless (detected, wiped by
-// recovery, or masked) — everything except silent corruption and hangs.
-func (c Counts) coverage() Estimate {
+// recovery, or masked) — everything except silent corruption and hangs —
+// with Wilson 95% bounds over the faulted-trial count.
+func (c Counts) Coverage() Estimate {
 	return estimate(c.Detected+c.Squashed+c.Masked, c.Faulted())
 }
 
@@ -324,7 +326,7 @@ type Result struct {
 func (r *Result) Counts() Counts {
 	var c Counts
 	for _, t := range r.Trials {
-		c.add(t.Outcome)
+		c.Add(t.Outcome)
 	}
 	return c
 }
@@ -333,7 +335,7 @@ func (r *Result) Counts() Counts {
 // faulted trials without silent corruption or a hang — with Wilson 95%
 // bounds over the faulted-trial count.
 func (r *Result) Coverage() Estimate {
-	return r.Counts().coverage()
+	return r.Counts().Coverage()
 }
 
 // ConditionalCoverage is coverage given that checking applied: trials
@@ -568,7 +570,7 @@ func (r *Result) Report() *report.Report {
 		ot.AddRow(string(o), float64(n), share(n))
 	}
 
-	cov := c.coverage()
+	cov := c.Coverage()
 	agg := r.Aggregates()
 	st := rep.AddTable("Campaign summary", "metric", "value")
 	st.Verb = "%.4g"
@@ -645,19 +647,6 @@ func (r *Result) Report() *report.Report {
 	rep.SetMeta("max_cycles", fmt.Sprint(r.MaxCycles))
 	rep.SetMeta("golden_arch_sig", fmt.Sprintf("%#x", r.Golden.Stats.ArchSig))
 	return rep
-}
-
-// Engine runs campaigns over a shared simulation suite. All methods are
-// safe for concurrent use; concurrent campaigns share the suite's result
-// cache and parallelism bound.
-type Engine struct {
-	sims *sim.Suite
-}
-
-// New builds a campaign engine over an existing simulation suite. With a
-// store attached to the suite, campaigns resume across processes.
-func New(sims *sim.Suite) *Engine {
-	return &Engine{sims: sims}
 }
 
 // Normalize validates spec the way Run will (machine and workload
@@ -762,18 +751,20 @@ func fetchHorizon(m config.Machine) uint64 {
 	return uint64(m.ROBSize + m.RetireWidth + 64)
 }
 
-// Run executes (or resumes) the campaign described by spec. The progress
-// callback, when non-nil, is invoked serially after every finished trial
-// with a running snapshot; it must return quickly. On context
-// cancellation the campaign stops with an error, but every finished
-// trial's result is already in the suite (and its store), so a later Run
-// resumes from it.
-func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*Result, error) {
-	ns, m, p, _, err := normalize(spec, e.sims.Options())
+// Run executes (or resumes) the campaign described by spec on the
+// simulation suite sims. Concurrent campaigns share the suite's result
+// cache and parallelism bound; with a store attached to the suite, they
+// resume across processes. The progress callback, when non-nil, is
+// invoked serially after every finished trial with a running snapshot;
+// it must return quickly. On context cancellation the campaign stops with
+// an error, but every finished trial's result is already in the suite
+// (and its store), so a later Run resumes from it.
+func Run(ctx context.Context, sims *sim.Suite, spec Spec, progress func(Progress)) (*Result, error) {
+	ns, m, p, _, err := normalize(spec, sims.Options())
 	if err != nil {
 		return nil, err
 	}
-	opt := e.sims.Options()
+	opt := sims.Options()
 	opt.WarmupInstrs = ns.WarmupInstrs
 	opt.MeasureInstrs = ns.MeasureInstrs
 	opt.MaxCycles = 0
@@ -787,7 +778,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 	lo := ns.WarmupInstrs + fetchHorizon(m) + ns.WindowLo
 	hi := ns.WarmupInstrs + ns.WindowHi
 	goldenStart := time.Now()
-	golden, sites, known, err := e.sims.FetchGolden(ctx, m, p, opt, lo, hi)
+	golden, sites, known, err := sims.FetchGolden(ctx, m, p, opt, lo, hi)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: golden run: %w", err)
 	}
@@ -798,65 +789,53 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 	}
 	ns.MaxCycles = budget
 	derivable := known && fitsBudget(golden, budget)
+	topt := opt
+	topt.MaxCycles = budget
 
 	res := &Result{Spec: ns, Golden: golden, MaxCycles: budget,
 		Trials: make([]Trial, ns.Trials)}
-	// Running progress state, shared by the trial goroutines.
+	// Running progress state, shared by the trial workers.
 	var mu sync.Mutex
 	prog := Progress{Total: ns.Trials}
-	var wg sync.WaitGroup
-	errs := make([]error, ns.Trials)
-	for i := range res.Trials {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			mc := m
-			mc.FaultRate = ns.FaultRate
-			mc.FaultSeed = TrialSeed(ns.Seed, i)
-			mc.FaultWindowLo, mc.FaultWindowHi = lo, hi
-			topt := opt
-			topt.MaxCycles = budget
-			trialStart := time.Now()
-			var r sim.Result
-			var ran bool
-			var err error
-			if derivable && core.FirstFaultSite(mc.FaultRate, mc.FaultSeed, sites) == sites {
-				r, ran, err = e.sims.Derive(ctx, mc, p, topt, cleanResult(golden, budget))
-			} else {
-				r, ran, err = e.sims.Fetch(ctx, mc, p, topt)
-			}
-			if err != nil {
-				errs[i] = fmt.Errorf("trial %d: %w", i, err)
-				return
-			}
-			telemetry.SpanFrom(ctx).Record("trial", time.Since(trialStart))
-			tr := newTrial(i, mc.FaultSeed, r, golden.Stats.ArchSig)
-			mu.Lock()
-			res.Trials[i] = tr
-			if ran {
-				res.Executed++
-			} else {
-				res.Resumed++
-			}
-			prog.Done++
-			prog.Resumed = res.Resumed
-			prog.Counts.add(tr.Outcome)
-			prog.Coverage = prog.Counts.coverage()
-			if progress != nil {
-				// Under the lock, so snapshots arrive serially and in
-				// Done order; the callback must return quickly.
-				progress(prog)
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-
-	// Cancellation cascades into every outstanding trial; JoinFanOut
-	// collapses that noise and keeps only genuine failures.
-	if err := sim.JoinFanOut(ctx, errs, func(done, total int) error {
-		return fmt.Errorf("campaign: interrupted with %d of %d trials done: %w", done, total, ctx.Err())
-	}); err != nil {
+	err = sims.FanOut(ctx, "campaign", "trials", ns.Trials, func(i int) error {
+		mc := m
+		mc.FaultRate = ns.FaultRate
+		mc.FaultSeed = TrialSeed(ns.Seed, i)
+		mc.FaultWindowLo, mc.FaultWindowHi = lo, hi
+		trialStart := time.Now()
+		var r sim.Result
+		var ran bool
+		var err error
+		if derivable && core.FirstFaultSite(mc.FaultRate, mc.FaultSeed, sites) == sites {
+			r, ran, err = sims.Derive(ctx, mc, p, topt, cleanResult(golden, budget))
+		} else {
+			r, ran, err = sims.Fetch(ctx, mc, p, topt)
+		}
+		if err != nil {
+			return fmt.Errorf("trial %d: %w", i, err)
+		}
+		telemetry.SpanFrom(ctx).Record("trial", time.Since(trialStart))
+		tr := newTrial(i, mc.FaultSeed, r, golden.Stats.ArchSig)
+		mu.Lock()
+		defer mu.Unlock()
+		res.Trials[i] = tr
+		if ran {
+			res.Executed++
+		} else {
+			res.Resumed++
+		}
+		prog.Done++
+		prog.Resumed = res.Resumed
+		prog.Counts.Add(tr.Outcome)
+		prog.Coverage = prog.Counts.Coverage()
+		if progress != nil {
+			// Under the lock, so snapshots arrive serially and in Done
+			// order; the callback must return quickly.
+			progress(prog)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	// res.Trials is index-addressed throughout, so it is already in

@@ -116,7 +116,7 @@ func TestTrialSeedDerivation(t *testing.T) {
 func TestCampaignDeterminism(t *testing.T) {
 	spec := quickSpec("shrec", 12)
 	run := func() *Result {
-		res, err := New(quickSuite()).Run(context.Background(), spec, nil)
+		res, err := Run(context.Background(), quickSuite(), spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestCampaignDeterminism(t *testing.T) {
 // the unprotected SS1 run at the same sites produces SDC and detects
 // nothing.
 func TestProtectedMachineHasNoSDC(t *testing.T) {
-	shrec, err := New(quickSuite()).Run(context.Background(), quickSpec("shrec", 16), nil)
+	shrec, err := Run(context.Background(), quickSuite(), quickSpec("shrec", 16), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestProtectedMachineHasNoSDC(t *testing.T) {
 		t.Fatal("SHREC campaign detected nothing; rate/window too narrow for the test")
 	}
 
-	ss1, err := New(quickSuite()).Run(context.Background(), quickSpec("ss1", 16), nil)
+	ss1, err := Run(context.Background(), quickSuite(), quickSpec("ss1", 16), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestCampaignResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := New(quickSuite().WithStore(st)).Run(context.Background(), spec, nil)
+	first, err := Run(context.Background(), quickSuite().WithStore(st), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestCampaignResume(t *testing.T) {
 	}
 	defer st2.Close()
 	sims := quickSuite()
-	second, err := New(sims.WithStore(st2)).Run(context.Background(), spec, nil)
+	second, err := Run(context.Background(), sims.WithStore(st2), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestCampaignResume(t *testing.T) {
 	// not depend on the trial count.
 	bigger := spec
 	bigger.Trials = 14
-	third, err := New(quickSuite().WithStore(st2)).Run(context.Background(), bigger, nil)
+	third, err := Run(context.Background(), quickSuite().WithStore(st2), bigger, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestCampaignCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var cancelled bool
-	_, err = New(quickSuite().WithStore(st)).Run(ctx, spec, func(p Progress) {
+	_, err = Run(ctx, quickSuite().WithStore(st), spec, func(p Progress) {
 		if p.Done >= 5 && !cancelled {
 			cancelled = true
 			cancel()
@@ -256,7 +256,7 @@ func TestCampaignCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	res, err := New(quickSuite().WithStore(st2)).Run(context.Background(), spec, nil)
+	res, err := Run(context.Background(), quickSuite().WithStore(st2), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestCampaignCancellation(t *testing.T) {
 func TestProgressSnapshots(t *testing.T) {
 	var last Progress
 	n := 0
-	res, err := New(quickSuite()).Run(context.Background(), quickSpec("shrec", 8),
+	res, err := Run(context.Background(), quickSuite(), quickSpec("shrec", 8),
 		func(p Progress) {
 			if p.Total != 8 {
 				t.Errorf("snapshot total = %d, want 8", p.Total)
@@ -300,7 +300,7 @@ func TestProgressSnapshots(t *testing.T) {
 
 // TestNormalizeErrors pins spec validation.
 func TestNormalizeErrors(t *testing.T) {
-	e := New(quickSuite())
+	sims := quickSuite()
 	bad := []Spec{
 		{Machine: "nope", Benchmark: "crafty"},
 		{Machine: "shrec", Benchmark: "nope"},
@@ -311,7 +311,7 @@ func TestNormalizeErrors(t *testing.T) {
 		{Machine: "shrec+rate1e-3", Benchmark: "crafty", FaultRate: 2e-3},
 	}
 	for i, spec := range bad {
-		if _, err := e.Run(context.Background(), spec, nil); err == nil {
+		if _, err := Run(context.Background(), sims, spec, nil); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, spec)
 		}
 	}
@@ -325,7 +325,7 @@ func TestMachineRateIsTheTrialRate(t *testing.T) {
 	ctx := context.Background()
 	spec := quickSpec("shrec+rate1e-3", 8)
 	spec.FaultRate = 0
-	got, err := New(quickSuite()).Run(ctx, spec, nil)
+	got, err := Run(ctx, quickSuite(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestMachineRateIsTheTrialRate(t *testing.T) {
 	}
 	plain := quickSpec("shrec", 8)
 	plain.FaultRate = 1e-3
-	want, err := New(quickSuite()).Run(ctx, plain, nil)
+	want, err := Run(ctx, quickSuite(), plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestHangClassification(t *testing.T) {
 	// explicit cycle budget the storm cannot meet.
 	spec.WindowHi = spec.MeasureInstrs * 1000
 	spec.MaxCycles = 1_000
-	res, err := New(quickSuite()).Run(context.Background(), spec, nil)
+	res, err := Run(context.Background(), quickSuite(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestHangClassification(t *testing.T) {
 	for _, rec := range []string{"none", "ckpt@4k+depth2"} {
 		spec := quickSpec("shrec", 8)
 		spec.Recovery = rec
-		g, err := New(quickSuite()).Run(context.Background(), spec, nil)
+		g, err := Run(context.Background(), quickSuite(), spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,11 +393,11 @@ func TestHangClassification(t *testing.T) {
 		for _, budget := range []int64{G - 2, G - 1, G, G + 1} {
 			spec.MaxCycles = budget
 			sims := quickSuite()
-			derived, err := New(sims).Run(context.Background(), spec, nil)
+			derived, err := Run(context.Background(), sims, spec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			simulated, err := New(withStoredGolden(t, 0, spec)).Run(context.Background(), spec, nil)
+			simulated, err := Run(context.Background(), withStoredGolden(t, 0, spec), spec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -94,7 +94,7 @@ func TestCleanTrialDerivationIdentity(t *testing.T) {
 func checkDerivation(t *testing.T, ctx context.Context, name string, sims, ref *sim.Suite, spec Spec) (derived, faulty int) {
 	t.Helper()
 	before := sims.Counters().CleanSkips
-	res, err := New(sims).Run(ctx, spec, nil)
+	res, err := Run(ctx, sims, spec, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

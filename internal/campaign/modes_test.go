@@ -9,7 +9,7 @@ import (
 // campaign level: the checker-lane compare catches every materialized
 // fault before it silently corrupts architectural state.
 func TestMEEKCampaignClassification(t *testing.T) {
-	res, err := New(quickSuite()).Run(context.Background(), quickSpec("meek@2", 16), nil)
+	res, err := Run(context.Background(), quickSuite(), quickSpec("meek@2", 16), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestMEEKCampaignClassification(t *testing.T) {
 // stalls into extra hardware contexts does not open a detection hole: the
 // cross-context compare still catches every fault.
 func TestMultiContextSHRECCampaignClassification(t *testing.T) {
-	res, err := New(quickSuite()).Run(context.Background(), quickSpec("shrec+ctx4", 16), nil)
+	res, err := Run(context.Background(), quickSuite(), quickSpec("shrec+ctx4", 16), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestMultiContextSHRECCampaignClassification(t *testing.T) {
 // protection claim, and conditional coverage must coincide with global
 // coverage.
 func TestFLEXOnRegionCampaign(t *testing.T) {
-	res, err := New(quickSuite()).Run(context.Background(), quickSpec("flex@64k:on16k", 16), nil)
+	res, err := Run(context.Background(), quickSuite(), quickSpec("flex@64k:on16k", 16), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFLEXOnRegionCampaign(t *testing.T) {
 // — excludes all of these trials rather than blaming the checker for a
 // region the policy chose not to look at.
 func TestFLEXOffRegionCampaign(t *testing.T) {
-	res, err := New(quickSuite()).Run(context.Background(), quickSpec("flex@64k:on1k", 16), nil)
+	res, err := Run(context.Background(), quickSuite(), quickSpec("flex@64k:on1k", 16), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

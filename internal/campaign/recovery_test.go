@@ -32,7 +32,7 @@ func TestRecoveryCampaignWarmsUpOnce(t *testing.T) {
 	// Eight trials: the first four at this seed are all clean.
 	spec := quickSpec("shrec", 8)
 	spec.Recovery = "ckpt@4k+depth2"
-	res, err := New(sims).Run(context.Background(), spec, nil)
+	res, err := Run(context.Background(), sims, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRecoveryCampaignWarmsUpOnce(t *testing.T) {
 // per-fault recovery outcomes, the summary aggregates them, and the
 // campaign reports availability and MTTF with confidence bounds.
 func TestRecoveryCampaign(t *testing.T) {
-	res, err := New(quickSuite()).Run(context.Background(), recoverySpec(40), nil)
+	res, err := Run(context.Background(), quickSuite(), recoverySpec(40), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRecoveryCampaignKillAndResume(t *testing.T) {
 	const trials = 30
 	spec := recoverySpec(trials)
 
-	whole, err := New(quickSuite()).Run(context.Background(), spec, nil)
+	whole, err := Run(context.Background(), quickSuite(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRecoveryCampaignKillAndResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var killedAt int
-	_, err = New(quickSuite().WithStore(st)).Run(ctx, spec, func(p Progress) {
+	_, err = Run(ctx, quickSuite().WithStore(st), spec, func(p Progress) {
 		if p.Done >= 5 && killedAt == 0 {
 			killedAt = p.Done
 			cancel()
@@ -208,7 +208,7 @@ func TestRecoveryCampaignKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	resumed, err := New(quickSuite().WithStore(st2)).Run(context.Background(), spec, nil)
+	resumed, err := Run(context.Background(), quickSuite().WithStore(st2), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCampaignOneRecordPerSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := New(quickSuite().WithStore(st)).Run(context.Background(), spec, nil)
+	first, err := Run(context.Background(), quickSuite().WithStore(st), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestCampaignOneRecordPerSimulation(t *testing.T) {
 	}
 	defer st2.Close()
 	sims := quickSuite().WithStore(st2)
-	again, err := New(sims).Run(context.Background(), spec, nil)
+	again, err := Run(context.Background(), sims, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,18 +290,18 @@ func TestCampaignIdentityAcrossResumeAndParallelism(t *testing.T) {
 	}
 	defer st.Close()
 
-	fresh, err := New(suiteAt(2).WithStore(st)).Run(context.Background(), spec, nil)
+	fresh, err := Run(context.Background(), suiteAt(2).WithStore(st), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := New(suiteAt(2).WithStore(st)).Run(context.Background(), spec, nil)
+	resumed, err := Run(context.Background(), suiteAt(2).WithStore(st), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed.Resumed != spec.Trials {
 		t.Fatalf("store-backed rerun resumed %d of %d trials", resumed.Resumed, spec.Trials)
 	}
-	serial, err := New(suiteAt(1)).Run(context.Background(), spec, nil)
+	serial, err := Run(context.Background(), suiteAt(1), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestCampaignIdentityAcrossResumeAndParallelism(t *testing.T) {
 	// A golden run served from the store carries no site count, so every
 	// trial simulates, clean ones included.
 	goldenSims := withStoredGolden(t, 2, spec)
-	simulated, err := New(goldenSims).Run(context.Background(), spec, nil)
+	simulated, err := Run(context.Background(), goldenSims, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

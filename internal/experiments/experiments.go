@@ -182,50 +182,91 @@ func (s *Suite) newReport(name string) *report.Report {
 	return r
 }
 
+// batch runs every machine on every profile through one sim.Suite.Batch
+// and returns each machine's results, in profile order.
+func (s *Suite) batch(ctx context.Context, machines []config.Machine, profiles []trace.Profile) ([][]sim.Result, error) {
+	res, err := s.sims.Batch(ctx, machines, profiles)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]sim.Result, len(machines))
+	for i := range rows {
+		rows[i] = res[i*len(profiles) : (i+1)*len(profiles)]
+	}
+	return rows, nil
+}
+
+// classMeans are one machine's aggregates over the results of one
+// benchmark class: the harmonic-mean IPC over all of them and over the
+// paper's high- and low-IPC groups, and each group's arithmetic-mean CPI
+// (CPI is additive across equal instruction counts, so arithmetic means
+// are the right response for factorial analysis, as in the paper).
+type classMeans struct {
+	All, High, Low  float64
+	CPIHigh, CPILow float64
+}
+
+// means aggregates rs, one machine's results in profile order, over the
+// results of class cls. Walking rs in profile order fixes the order of
+// every floating-point sum.
+func means(rs []sim.Result, cls trace.Class) classMeans {
+	var all, high, low []float64
+	var cpiHigh, cpiLow float64
+	for _, r := range rs {
+		if r.Class != cls {
+			continue
+		}
+		all = append(all, r.IPC())
+		if r.HighIPC {
+			high = append(high, r.IPC())
+			cpiHigh += r.CPI()
+		} else {
+			low = append(low, r.IPC())
+			cpiLow += r.CPI()
+		}
+	}
+	return classMeans{
+		All:     stats.HarmonicMean(all),
+		High:    stats.HarmonicMean(high),
+		Low:     stats.HarmonicMean(low),
+		CPIHigh: cpiHigh / float64(len(high)),
+		CPILow:  cpiLow / float64(len(low)),
+	}
+}
+
 // addPerBenchmarkTable appends one of the paper's per-benchmark IPC bar
-// charts (Figures 2, 3, 4, 7) as a table: one row per benchmark plus the
-// three harmonic-mean aggregate rows, one column per machine.
-func (s *Suite) addPerBenchmarkTable(ctx context.Context, rep *report.Report, title string, machines []config.Machine, profiles []trace.Profile) error {
-	if _, err := s.sims.Batch(ctx, machines, profiles); err != nil {
-		return err
+// charts (Figures 2, 3, 4, 7) as a table: one row per benchmark of
+// profiles, all of one class, plus the three harmonic-mean aggregate
+// rows, one column per machine. It returns each machine's means.
+func (s *Suite) addPerBenchmarkTable(ctx context.Context, rep *report.Report, title string, machines []config.Machine, profiles []trace.Profile) ([]classMeans, error) {
+	rows, err := s.batch(ctx, machines, profiles)
+	if err != nil {
+		return nil, err
 	}
 	tb := rep.AddTable(title, append([]string{"benchmark"}, machineNames(machines)...)...)
-	for _, p := range profiles {
+	for j, p := range profiles {
 		row := report.Row{
 			Label:  p.Name,
 			Class:  p.Class.String(),
 			High:   p.HighIPC,
 			Values: make([]float64, len(machines)),
 		}
-		for i, m := range machines {
-			ipc, err := s.sims.IPC(ctx, m, p)
-			if err != nil {
-				return err
-			}
-			row.Values[i] = ipc
+		for i := range machines {
+			row.Values[i] = rows[i][j].IPC()
 		}
 		tb.Add(row)
 	}
 	tb.AddRule()
-	for _, agg := range []string{"Average", "Average (Low only)", "Average (High only)"} {
-		row := report.Row{Label: agg, Aggregate: true, Values: make([]float64, len(machines))}
-		for i, m := range machines {
-			av, err := s.sims.Averages(ctx, m, profiles)
-			if err != nil {
-				return err
-			}
-			switch agg {
-			case "Average":
-				row.Values[i] = av.All
-			case "Average (Low only)":
-				row.Values[i] = av.Low
-			default:
-				row.Values[i] = av.High
-			}
-		}
-		tb.Add(row)
+	av := make([]classMeans, len(machines))
+	all, low, high := make([]float64, len(machines)), make([]float64, len(machines)), make([]float64, len(machines))
+	for i := range machines {
+		av[i] = means(rows[i], profiles[0].Class)
+		all[i], low[i], high[i] = av[i].All, av[i].Low, av[i].High
 	}
-	return nil
+	tb.Add(report.Row{Label: "Average", Aggregate: true, Values: all})
+	tb.Add(report.Row{Label: "Average (Low only)", Aggregate: true, Values: low})
+	tb.Add(report.Row{Label: "Average (High only)", Aggregate: true, Values: high})
+	return av, nil
 }
 
 func machineNames(ms []config.Machine) []string {
@@ -236,40 +277,33 @@ func machineNames(ms []config.Machine) []string {
 	return out
 }
 
+// addPenaltyNotes appends the headline "SS2 loses N% vs SS1" lines:
+// machines[m] against machines[base], from the integer and
+// floating-point means of addPerBenchmarkTable.
+func addPenaltyNotes(rep *report.Report, machines []config.Machine, ints, fps []classMeans, base, m int) {
+	for _, cls := range []struct {
+		name string
+		av   []classMeans
+	}{{"integer", ints}, {"floating-point", fps}} {
+		rep.AddNote("%s penalty vs %s on %s: %.0f%%", machines[m].Name, machines[base].Name,
+			cls.name, stats.PctPenalty(cls.av[base].All, cls.av[m].All))
+	}
+}
+
 // Figure2 reproduces the SS1-versus-SS2 IPC comparison.
 func (s *Suite) Figure2(ctx context.Context) (*report.Report, error) {
 	rep := s.newReport("fig2")
 	machines := []config.Machine{config.SS2(config.Factors{}), config.SS1()}
-	if err := s.addPerBenchmarkTable(ctx, rep, "Figure 2(a): Integer IPC, SS2 vs SS1", machines, s.ints); err != nil {
+	ints, err := s.addPerBenchmarkTable(ctx, rep, "Figure 2(a): Integer IPC, SS2 vs SS1", machines, s.ints)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.addPerBenchmarkTable(ctx, rep, "Figure 2(b): Floating-point IPC, SS2 vs SS1", machines, s.fps); err != nil {
+	fps, err := s.addPerBenchmarkTable(ctx, rep, "Figure 2(b): Floating-point IPC, SS2 vs SS1", machines, s.fps)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.addPenaltyNotes(ctx, rep, config.SS1(), config.SS2(config.Factors{})); err != nil {
-		return nil, err
-	}
+	addPenaltyNotes(rep, machines, ints, fps, 1, 0)
 	return rep, nil
-}
-
-// addPenaltyNotes appends the headline "SS2 loses N% vs SS1" lines.
-func (s *Suite) addPenaltyNotes(ctx context.Context, rep *report.Report, base, m config.Machine) error {
-	for _, cls := range []struct {
-		name     string
-		profiles []trace.Profile
-	}{{"integer", s.ints}, {"floating-point", s.fps}} {
-		b1, err := s.sims.Averages(ctx, base, cls.profiles)
-		if err != nil {
-			return err
-		}
-		m1, err := s.sims.Averages(ctx, m, cls.profiles)
-		if err != nil {
-			return err
-		}
-		rep.AddNote("%s penalty vs %s on %s: %.0f%%",
-			m.Name, base.Name, cls.name, stats.PctPenalty(b1.All, m1.All))
-	}
-	return nil
 }
 
 // Table2 reproduces the sixteen-configuration factor study: percentage IPC
@@ -281,32 +315,19 @@ func (s *Suite) Table2(ctx context.Context) (*report.Report, error) {
 	for i, f := range combos {
 		machines[i] = config.SS2(f)
 	}
-	if _, err := s.sims.Batch(ctx, machines, s.profiles); err != nil {
-		return nil, err
-	}
-	base := machines[0] // plain SS2
-	baseInt, err := s.sims.Averages(ctx, base, s.ints)
+	rows, err := s.batch(ctx, machines, s.profiles)
 	if err != nil {
 		return nil, err
 	}
-	baseFP, err := s.sims.Averages(ctx, base, s.fps)
-	if err != nil {
-		return nil, err
-	}
+	// rows[0] is plain SS2.
+	baseInt, baseFP := means(rows[0], trace.IntClass), means(rows[0], trace.FPClass)
 
 	rep := s.newReport("table2")
 	tb := rep.AddTable("Table 2: % IPC increase relative to SS2",
 		"X S C B", "Int All", "Int High", "Int Low", "FP All", "FP High", "FP Low")
 	tb.Verb = "%.0f"
-	for i, m := range machines {
-		avInt, err := s.sims.Averages(ctx, m, s.ints)
-		if err != nil {
-			return nil, err
-		}
-		avFP, err := s.sims.Averages(ctx, m, s.fps)
-		if err != nil {
-			return nil, err
-		}
+	for i, row := range rows {
+		avInt, avFP := means(row, trace.IntClass), means(row, trace.FPClass)
 		tb.AddRow(combos[i].String(),
 			stats.PctChange(baseInt.All, avInt.All),
 			stats.PctChange(baseInt.High, avInt.High),
@@ -319,31 +340,6 @@ func (s *Suite) Table2(ctx context.Context) (*report.Report, error) {
 	return rep, nil
 }
 
-// classProfiles returns the paper's four benchmark classes.
-func (s *Suite) classProfiles() []struct {
-	name     string
-	profiles []trace.Profile
-} {
-	split := func(ps []trace.Profile, high bool) []trace.Profile {
-		var out []trace.Profile
-		for _, p := range ps {
-			if p.HighIPC == high {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	return []struct {
-		name     string
-		profiles []trace.Profile
-	}{
-		{"Integer: High", split(s.ints, true)},
-		{"Integer: Low", split(s.ints, false)},
-		{"Floating-point: High", split(s.fps, true)},
-		{"Floating-point: Low", split(s.fps, false)},
-	}
-}
-
 // Table3 reproduces the 2-k factorial analysis: the main factors and
 // interactions whose CPI effect exceeds 3%, per benchmark class.
 func (s *Suite) Table3(ctx context.Context) (*report.Report, error) {
@@ -352,7 +348,8 @@ func (s *Suite) Table3(ctx context.Context) (*report.Report, error) {
 	for i, f := range combos {
 		machines[i] = config.SS2(f)
 	}
-	if _, err := s.sims.Batch(ctx, machines, s.profiles); err != nil {
+	rows, err := s.batch(ctx, machines, s.profiles)
+	if err != nil {
 		return nil, err
 	}
 
@@ -362,7 +359,16 @@ func (s *Suite) Table3(ctx context.Context) (*report.Report, error) {
 		"class", "factor", "effect %")
 	tb.Verb = "%.1f"
 	tb.ClassColumn = true
-	for _, cls := range s.classProfiles() {
+	for _, cls := range []struct {
+		name  string
+		class trace.Class
+		high  bool
+	}{
+		{"Integer: High", trace.IntClass, true},
+		{"Integer: Low", trace.IntClass, false},
+		{"Floating-point: High", trace.FPClass, true},
+		{"Floating-point: Low", trace.FPClass, false},
+	} {
 		// Build the 16 responses indexed by factor bitmask.
 		resp := make([]float64, 16)
 		for i, f := range combos {
@@ -379,11 +385,11 @@ func (s *Suite) Table3(ctx context.Context) (*report.Report, error) {
 			if f.B {
 				mask |= 8
 			}
-			cpi, err := s.sims.MeanCPI(ctx, machines[i], cls.profiles)
-			if err != nil {
-				return nil, err
+			av := means(rows[i], cls.class)
+			resp[mask] = av.CPILow
+			if cls.high {
+				resp[mask] = av.CPIHigh
 			}
-			resp[mask] = cpi
 		}
 		an, err := factorial.Analyze(factors, resp)
 		if err != nil {
@@ -409,10 +415,10 @@ func (s *Suite) Figure3(ctx context.Context) (*report.Report, error) {
 		config.SS2(config.Factors{C: true}),
 		config.SS1(),
 	}
-	if err := s.addPerBenchmarkTable(ctx, rep, "Figure 3(a): Integer IPC, C-factor", machines, s.ints); err != nil {
+	if _, err := s.addPerBenchmarkTable(ctx, rep, "Figure 3(a): Integer IPC, C-factor", machines, s.ints); err != nil {
 		return nil, err
 	}
-	if err := s.addPerBenchmarkTable(ctx, rep, "Figure 3(b): Floating-point IPC, C-factor", machines, s.fps); err != nil {
+	if _, err := s.addPerBenchmarkTable(ctx, rep, "Figure 3(b): Floating-point IPC, C-factor", machines, s.fps); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -427,10 +433,10 @@ func (s *Suite) Figure4(ctx context.Context) (*report.Report, error) {
 		config.SS2(config.Factors{S: true}),
 		config.SS1(),
 	}
-	if err := s.addPerBenchmarkTable(ctx, rep, "Figure 4(a): Integer IPC, S-factor", machines, s.ints); err != nil {
+	if _, err := s.addPerBenchmarkTable(ctx, rep, "Figure 4(a): Integer IPC, S-factor", machines, s.ints); err != nil {
 		return nil, err
 	}
-	if err := s.addPerBenchmarkTable(ctx, rep, "Figure 4(b): Floating-point IPC, S-factor", machines, s.fps); err != nil {
+	if _, err := s.addPerBenchmarkTable(ctx, rep, "Figure 4(b): Floating-point IPC, S-factor", machines, s.fps); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -445,32 +451,29 @@ func (s *Suite) Figure5(ctx context.Context) (*report.Report, error) {
 	for i, n := range staggers {
 		machines[i] = config.SS2(config.Factors{S: true, C: true}).WithStagger(n)
 	}
-	if _, err := s.sims.Batch(ctx, machines, s.profiles); err != nil {
+	rows, err := s.batch(ctx, machines, s.profiles)
+	if err != nil {
 		return nil, err
 	}
 	rep := s.newReport("fig5")
 	tb := rep.AddTable("Figure 5: IPC of SS2+S+C vs maximum stagger",
 		append([]string{"class"}, labels...)...)
 	for _, cls := range []struct {
-		name     string
-		profiles []trace.Profile
-		high     bool
+		name  string
+		class trace.Class
+		high  bool
 	}{
-		{"Integer Low", s.ints, false},
-		{"Integer High", s.ints, true},
-		{"Floating-point Low", s.fps, false},
-		{"Floating-point High", s.fps, true},
+		{"Integer Low", trace.IntClass, false},
+		{"Integer High", trace.IntClass, true},
+		{"Floating-point Low", trace.FPClass, false},
+		{"Floating-point High", trace.FPClass, true},
 	} {
 		row := make([]float64, len(machines))
-		for i, m := range machines {
-			av, err := s.sims.Averages(ctx, m, cls.profiles)
-			if err != nil {
-				return nil, err
-			}
+		for i := range machines {
+			av := means(rows[i], cls.class)
+			row[i] = av.Low
 			if cls.high {
 				row[i] = av.High
-			} else {
-				row[i] = av.Low
 			}
 		}
 		tb.AddRow(cls.name, row...)
@@ -488,15 +491,15 @@ func (s *Suite) Figure7(ctx context.Context) (*report.Report, error) {
 		config.SS2(config.Factors{S: true, C: true, B: true}),
 		config.SS1(),
 	}
-	if err := s.addPerBenchmarkTable(ctx, rep, "Figure 7(a): Integer IPC, SHREC", machines, s.ints); err != nil {
+	ints, err := s.addPerBenchmarkTable(ctx, rep, "Figure 7(a): Integer IPC, SHREC", machines, s.ints)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.addPerBenchmarkTable(ctx, rep, "Figure 7(b): Floating-point IPC, SHREC", machines, s.fps); err != nil {
+	fps, err := s.addPerBenchmarkTable(ctx, rep, "Figure 7(b): Floating-point IPC, SHREC", machines, s.fps)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.addPenaltyNotes(ctx, rep, config.SS1(), config.SHREC()); err != nil {
-		return nil, err
-	}
+	addPenaltyNotes(rep, machines, ints, fps, 3, 1)
 	return rep, nil
 }
 
@@ -504,28 +507,31 @@ func (s *Suite) Figure7(ctx context.Context) (*report.Report, error) {
 // to 2X issue bandwidth and functional units, per benchmark class.
 func (s *Suite) Figure8(ctx context.Context) (*report.Report, error) {
 	scales := []float64{0.5, 1, 1.5, 2}
-	type series struct {
+	bases := []config.Machine{config.SHREC(), config.SS2(config.Factors{})}
+	all := []struct {
 		label string
-		base  config.Machine
+		base  int // index into bases
+		class trace.Class
 		high  bool
-		fp    bool
+	}{
+		{"SHREC - Int High", 0, trace.IntClass, true},
+		{"SS2 - Int High", 1, trace.IntClass, true},
+		{"SHREC - Int Low", 0, trace.IntClass, false},
+		{"SS2 - Int Low", 1, trace.IntClass, false},
+		{"SHREC - FP High", 0, trace.FPClass, true},
+		{"SS2 - FP High", 1, trace.FPClass, true},
+		{"SHREC - FP Low", 0, trace.FPClass, false},
+		{"SS2 - FP Low", 1, trace.FPClass, false},
 	}
-	all := []series{
-		{"SHREC - Int High", config.SHREC(), true, false},
-		{"SS2 - Int High", config.SS2(config.Factors{}), true, false},
-		{"SHREC - Int Low", config.SHREC(), false, false},
-		{"SS2 - Int Low", config.SS2(config.Factors{}), false, false},
-		{"SHREC - FP High", config.SHREC(), true, true},
-		{"SS2 - FP High", config.SS2(config.Factors{}), true, true},
-		{"SHREC - FP Low", config.SHREC(), false, true},
-		{"SS2 - FP Low", config.SS2(config.Factors{}), false, true},
-	}
+	// Scale-major: machines[i*len(bases)+b] is bases[b] at scales[i].
 	var machines []config.Machine
 	for _, sc := range scales {
-		machines = append(machines,
-			config.SHREC().WithXScale(sc), config.SS2(config.Factors{}).WithXScale(sc))
+		for _, b := range bases {
+			machines = append(machines, b.WithXScale(sc))
+		}
 	}
-	if _, err := s.sims.Batch(ctx, machines, s.profiles); err != nil {
+	rows, err := s.batch(ctx, machines, s.profiles)
+	if err != nil {
 		return nil, err
 	}
 	rep := s.newReport("fig8")
@@ -533,31 +539,17 @@ func (s *Suite) Figure8(ctx context.Context) (*report.Report, error) {
 		"series", "0.5X", "1X", "1.5X", "2X")
 	for _, sr := range all {
 		row := make([]float64, len(scales))
-		for i, sc := range scales {
-			m := sr.base.WithXScale(sc)
-			profiles := s.ints
-			if sr.fp {
-				profiles = s.fps
-			}
-			av, err := s.sims.Averages(ctx, m, profiles)
-			if err != nil {
-				return nil, err
-			}
+		for i := range scales {
+			av := means(rows[i*len(bases)+sr.base], sr.class)
+			row[i] = av.Low
 			if sr.high {
 				row[i] = av.High
-			} else {
-				row[i] = av.Low
 			}
 		}
 		tb.AddRow(sr.label, row...)
 	}
 	return rep, nil
 }
-
-// ss1Machine, ss2Machine, and shrecMachine are tiny helpers for tests.
-func ss1Machine() config.Machine   { return config.SS1() }
-func ss2Machine() config.Machine   { return config.SS2(config.Factors{}) }
-func shrecMachine() config.Machine { return config.SHREC() }
 
 // Ablation is an extension beyond the paper's figures: it compares SS1,
 // SHREC (shared functional units), DIVA (dedicated checker pipeline,
@@ -572,10 +564,10 @@ func (s *Suite) Ablation(ctx context.Context) (*report.Report, error) {
 		config.SHREC(),
 		config.SS2(config.Factors{X: true, C: true}),
 	}
-	if err := s.addPerBenchmarkTable(ctx, rep, "Ablation (extension): shared vs dedicated checker units, integer", machines, s.ints); err != nil {
+	if _, err := s.addPerBenchmarkTable(ctx, rep, "Ablation (extension): shared vs dedicated checker units, integer", machines, s.ints); err != nil {
 		return nil, err
 	}
-	if err := s.addPerBenchmarkTable(ctx, rep, "Ablation (extension): shared vs dedicated checker units, floating-point", machines, s.fps); err != nil {
+	if _, err := s.addPerBenchmarkTable(ctx, rep, "Ablation (extension): shared vs dedicated checker units, floating-point", machines, s.fps); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -594,10 +586,10 @@ func (s *Suite) O3RS(ctx context.Context) (*report.Report, error) {
 		config.SS2(config.Factors{C: true, B: true}),
 		config.SS1(),
 	}
-	if err := s.addPerBenchmarkTable(ctx, rep, "O3RS validation (extension): real mechanism vs SS2+CB approximation, integer", machines, s.ints); err != nil {
+	if _, err := s.addPerBenchmarkTable(ctx, rep, "O3RS validation (extension): real mechanism vs SS2+CB approximation, integer", machines, s.ints); err != nil {
 		return nil, err
 	}
-	if err := s.addPerBenchmarkTable(ctx, rep, "O3RS validation (extension): real mechanism vs SS2+CB approximation, floating-point", machines, s.fps); err != nil {
+	if _, err := s.addPerBenchmarkTable(ctx, rep, "O3RS validation (extension): real mechanism vs SS2+CB approximation, floating-point", machines, s.fps); err != nil {
 		return nil, err
 	}
 	return rep, nil

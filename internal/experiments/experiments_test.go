@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // tinySuite uses very short runs: these tests validate harness plumbing
@@ -195,20 +198,85 @@ func TestQualitativeOrderingAtTinyScale(t *testing.T) {
 	if _, err := s.Figure7(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ss1, err := s.sims.Averages(context.Background(), ss1Machine(), s.profiles)
+	// Harmonic means over every profile, both classes together.
+	rows, err := s.batch(context.Background(), []config.Machine{config.SS1(), config.SS2(config.Factors{}), config.SHREC()}, s.profiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss2, err := s.sims.Averages(context.Background(), ss2Machine(), s.profiles)
+	hm := func(rs []sim.Result) float64 {
+		var ipcs []float64
+		for _, r := range rs {
+			ipcs = append(ipcs, r.IPC())
+		}
+		return stats.HarmonicMean(ipcs)
+	}
+	ss1, ss2, shrec := hm(rows[0]), hm(rows[1]), hm(rows[2])
+	if !(ss2 < shrec && shrec <= ss1*1.02) {
+		t.Fatalf("ordering violated: SS2 %.3f, SHREC %.3f, SS1 %.3f", ss2, shrec, ss1)
+	}
+}
+
+// A fresh suite's fig2 simulates each of its 50 pairs once and counts no
+// hit: the figure reads its aggregates from the batch it ran.
+func TestFigure2CountsNoHits(t *testing.T) {
+	s := tinySuite()
+	if _, err := s.Figure2(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.sims.Counters(); c.Runs != 50 || c.Hits != 0 {
+		t.Fatalf("fig2 on a fresh suite: %s, want runs=50 and no hits", c.Summary())
+	}
+}
+
+// The per-class means split the class into the paper's high- and low-IPC
+// groups: the overall harmonic mean lies between the groups', and the
+// high-IPC group is in fact faster.
+func TestAverages(t *testing.T) {
+	s := NewSuite(sim.NewSuite(sim.Options{WarmupInstrs: 5000, MeasureInstrs: 10000, Parallelism: 8}))
+	rows, err := s.batch(context.Background(), []config.Machine{config.SS1()}, s.profiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shrec, err := s.sims.Averages(context.Background(), shrecMachine(), s.profiles)
+	av := means(rows[0], trace.IntClass)
+	if av.All <= 0 || av.High <= 0 || av.Low <= 0 {
+		t.Fatalf("averages = %+v", av)
+	}
+	lo, hi := av.Low, av.High
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if av.All < lo || av.All > hi {
+		t.Fatalf("overall %v outside [%v, %v]", av.All, lo, hi)
+	}
+	if av.High <= av.Low {
+		t.Fatalf("high %v <= low %v", av.High, av.Low)
+	}
+	if fp := means(rows[0], trace.FPClass); fp.All == av.All {
+		t.Fatalf("class filter ignored: integer and floating-point means both %v", fp.All)
+	}
+}
+
+// Each group's mean CPI is the arithmetic mean over its results, in
+// profile order.
+func TestMeanCPI(t *testing.T) {
+	s := tinySuite()
+	rows, err := s.batch(context.Background(), []config.Machine{config.SS1()}, s.ints)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(ss2.All < shrec.All && shrec.All <= ss1.All*1.02) {
-		t.Fatalf("ordering violated: SS2 %.3f, SHREC %.3f, SS1 %.3f",
-			ss2.All, shrec.All, ss1.All)
+	var sum float64
+	var n int
+	for _, r := range rows[0] {
+		if r.HighIPC {
+			sum += r.CPI()
+			n++
+		}
+	}
+	av := means(rows[0], trace.IntClass)
+	if want := sum / float64(n); av.CPIHigh != want || av.CPIHigh <= 0 || av.CPIHigh > 50 {
+		t.Fatalf("high-IPC mean CPI = %v, want %v", av.CPIHigh, want)
+	}
+	if av.CPILow <= 0 || av.CPILow > 50 {
+		t.Fatalf("low-IPC mean CPI = %v", av.CPILow)
 	}
 }

@@ -65,14 +65,14 @@ func TestHalvingMatchesGridFrontier(t *testing.T) {
 
 	gridSpec := accSpec()
 	gridSpec.Strategy = StrategyGrid
-	grid, err := New(sim.NewSuite(quickOpts())).Run(context.Background(), gridSpec, nil)
+	grid, err := Run(context.Background(), sim.NewSuite(quickOpts()), gridSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	halvSpec := accSpec()
 	halvSpec.Strategy = StrategyHalving
-	halv, err := New(sim.NewSuite(quickOpts())).Run(context.Background(), halvSpec, nil)
+	halv, err := Run(context.Background(), sim.NewSuite(quickOpts()), halvSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestHalvingMatchesGridFrontier(t *testing.T) {
 	subSpec := accSpec()
 	subSpec.Space = Space{Bases: survivors}
 	subSpec.Strategy = StrategyGrid
-	sub, err := New(sim.NewSuite(quickOpts())).Run(context.Background(), subSpec, nil)
+	sub, err := Run(context.Background(), sim.NewSuite(quickOpts()), subSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestHalvingMatchesGridFrontier(t *testing.T) {
 	}
 
 	// (3) Seeded determinism: a rerun reproduces the evaluation set.
-	again, err := New(sim.NewSuite(quickOpts())).Run(context.Background(), halvSpec, nil)
+	again, err := Run(context.Background(), sim.NewSuite(quickOpts()), halvSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +159,14 @@ func TestStrategiesShareEvaluations(t *testing.T) {
 
 	halvSpec := accSpec()
 	halvSpec.Strategy = StrategyHalving
-	halv, err := New(sim.NewSuite(quickOpts()).WithStore(st)).Run(context.Background(), halvSpec, nil)
+	halv, err := Run(context.Background(), sim.NewSuite(quickOpts()).WithStore(st), halvSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	gridSpec := accSpec()
 	gridSpec.Strategy = StrategyGrid
-	grid, err := New(sim.NewSuite(quickOpts()).WithStore(st)).Run(context.Background(), gridSpec, nil)
+	grid, err := Run(context.Background(), sim.NewSuite(quickOpts()).WithStore(st), gridSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestStrategiesShareEvaluations(t *testing.T) {
 		t.Fatalf("resumed %d + executed %d != %d", grid.Resumed, grid.Executed, grid.Points)
 	}
 	// And the shared evaluations are byte-identical to fresh ones.
-	fresh, err := New(sim.NewSuite(quickOpts())).Run(context.Background(), gridSpec, nil)
+	fresh, err := Run(context.Background(), sim.NewSuite(quickOpts()), gridSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

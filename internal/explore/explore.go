@@ -300,20 +300,6 @@ func Normalize(spec Spec, def sim.Options) (Spec, error) {
 	return spec, nil
 }
 
-// Engine runs explorations over a shared simulation suite. All methods
-// are safe for concurrent use; concurrent explorations share the
-// suite's result cache and parallelism bound.
-type Engine struct {
-	sims *sim.Suite
-}
-
-// New builds an exploration engine over an existing simulation suite.
-// With a store attached to the suite, explorations resume across
-// processes.
-func New(sims *sim.Suite) *Engine {
-	return &Engine{sims: sims}
-}
-
 // pointSeed derives the campaign master seed of point i — a splitmix
 // fork, like campaign.TrialSeed, so points sample decorrelated fault
 // sites while the exploration remains a pure function of (Seed, i).
@@ -324,7 +310,7 @@ func pointSeed(seed uint64, index int) uint64 {
 // run carries one exploration's shared state across the strategy and
 // evaluation passes.
 type run struct {
-	eng      *Engine
+	sims     *sim.Suite
 	spec     Spec
 	points   []Point
 	progress func(Progress)
@@ -337,7 +323,7 @@ type run struct {
 
 // options returns the run lengths of the given fidelity.
 func (r *run) options(screen bool) sim.Options {
-	opt := r.eng.sims.Options()
+	opt := r.sims.Options()
 	opt.WarmupInstrs = r.spec.WarmupInstrs
 	opt.MeasureInstrs = r.spec.MeasureInstrs
 	opt.MaxCycles = 0
@@ -368,7 +354,7 @@ func (r *run) meanIPC(ctx context.Context, m config.Machine, opt sim.Options) (f
 		if err != nil {
 			return 0, false, err
 		}
-		res, fresh, err := r.eng.sims.Fetch(ctx, m, p, opt)
+		res, fresh, err := r.sims.Fetch(ctx, m, p, opt)
 		if err != nil {
 			return 0, false, err
 		}
@@ -400,12 +386,11 @@ func (r *run) evalPoint(ctx context.Context, pt Point, opt sim.Options, screen b
 	// injection window inside the warmup fetch horizon, and coverage is
 	// re-measured on every survivor at full fidelity anyway.
 	if pt.Rate > 0 && !screen && r.spec.Trials > 0 {
-		camp := campaign.New(r.eng.sims)
 		var counts campaign.Counts
 		var pooled *campaign.RecoverySummary
 		var ckptOvWeighted float64
 		for _, b := range r.spec.Benchmarks {
-			cres, err := camp.Run(ctx, campaign.Spec{
+			cres, err := campaign.Run(ctx, r.sims, campaign.Spec{
 				Machine:       pt.Machine.Spec(),
 				Benchmark:     b,
 				Trials:        r.spec.Trials,
@@ -418,13 +403,9 @@ func (r *run) evalPoint(ctx context.Context, pt Point, opt sim.Options, screen b
 				return Eval{}, false, fmt.Errorf("coverage of %s on %s: %w", pt.Spec, b, err)
 			}
 			ran = ran || cres.Executed > 0
-			c := cres.Counts()
-			counts.Detected += c.Detected
-			counts.Squashed += c.Squashed
-			counts.Masked += c.Masked
-			counts.SDC += c.SDC
-			counts.Hang += c.Hang
-			counts.Clean += c.Clean
+			for _, t := range cres.Trials {
+				counts.Add(t.Outcome)
+			}
 			if rs := cres.RecoverySummary(); rs != nil {
 				// Pool the recovery counters over the benchmarks; the
 				// checkpoint overhead (a per-benchmark CPI ratio) pools as
@@ -441,17 +422,13 @@ func (r *run) evalPoint(ctx context.Context, pt Point, opt sim.Options, screen b
 				ckptOvWeighted += rs.CkptOverhead * float64(rs.Cycles)
 			}
 		}
-		covered := counts.Detected + counts.Squashed + counts.Masked
+		// With no faulted trial, nothing is known: the estimate spans
+		// [0, 1].
+		cov := counts.Coverage()
 		ev.Covered = true
 		ev.SDC = counts.SDC
 		ev.Hangs = counts.Hang
-		if n := counts.Faulted(); n > 0 {
-			ev.Coverage = float64(covered) / float64(n)
-			ev.CoverageLo, ev.CoverageHi = stats.Wilson(covered, n, 1.96)
-		} else {
-			// No trial sampled a fault; nothing is known.
-			ev.CoverageLo, ev.CoverageHi = 0, 1
-		}
+		ev.Coverage, ev.CoverageLo, ev.CoverageHi = cov.Point, cov.Lo, cov.Hi
 		if pooled != nil {
 			if pooled.Cycles > 0 {
 				pooled.CkptOverhead = ckptOvWeighted / float64(pooled.Cycles)
@@ -483,42 +460,33 @@ func (r *run) evalAll(ctx context.Context, points []Point, screen bool) ([]Eval,
 		phase = "screen"
 	}
 	evals := make([]Eval, len(points))
-	errs := make([]error, len(points))
 	done := 0
-	var wg sync.WaitGroup
-	for i, pt := range points {
-		wg.Add(1)
-		go func(i int, pt Point) {
-			defer wg.Done()
-			evalStart := time.Now()
-			ev, resumed, err := r.evalPoint(ctx, pt, opt, screen, baseIPC)
-			telemetry.SpanFrom(ctx).Record(phase+"_eval", time.Since(evalStart))
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			if err != nil {
-				errs[i] = fmt.Errorf("point %d (%s): %w", pt.Index, pt.Spec, err)
-				return
-			}
-			evals[i] = ev
-			if resumed {
-				r.resumed++
-			} else {
-				r.executed++
-			}
-			done++
-			if r.progress != nil {
-				// Under the lock, so snapshots arrive serially; the
-				// callback must return quickly.
-				r.progress(Progress{Phase: phase, Done: done,
-					Total: len(points), Resumed: r.resumed})
-			}
-		}(i, pt)
-	}
-	wg.Wait()
-	if err := sim.JoinFanOut(ctx, errs, func(done, total int) error {
-		return fmt.Errorf("explore: interrupted with %d of %d %s evaluations done: %w",
-			done, total, phase, ctx.Err())
-	}); err != nil {
+	err = r.sims.FanOut(ctx, "explore", phase+" evaluations", len(points), func(i int) error {
+		pt := points[i]
+		evalStart := time.Now()
+		ev, resumed, err := r.evalPoint(ctx, pt, opt, screen, baseIPC)
+		telemetry.SpanFrom(ctx).Record(phase+"_eval", time.Since(evalStart))
+		if err != nil {
+			return fmt.Errorf("point %d (%s): %w", pt.Index, pt.Spec, err)
+		}
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		evals[i] = ev
+		if resumed {
+			r.resumed++
+		} else {
+			r.executed++
+		}
+		done++
+		if r.progress != nil {
+			// Under the lock, so snapshots arrive serially; the callback
+			// must return quickly.
+			r.progress(Progress{Phase: phase, Done: done,
+				Total: len(points), Resumed: r.resumed})
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return evals, nil
@@ -571,14 +539,16 @@ func (s Spec) hasAvailability() bool {
 	return false
 }
 
-// Run executes (or resumes) the exploration described by spec. The
-// progress callback, when non-nil, is invoked serially after every
-// finished evaluation; it must return quickly. On context cancellation
-// the exploration stops with an error, but the simulations of every
-// finished evaluation are already in the suite and its store, so a later
-// Run resumes from them.
-func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*Result, error) {
-	ns, err := Normalize(spec, e.sims.Options())
+// Run executes (or resumes) the exploration described by spec on the
+// simulation suite sims. Concurrent explorations share the suite's
+// result cache and parallelism bound; with a store attached to the
+// suite, they resume across processes. The progress callback, when
+// non-nil, is invoked serially after every finished evaluation; it must
+// return quickly. On context cancellation the exploration stops with an
+// error, but the simulations of every finished evaluation are already in
+// the suite and its store, so a later Run resumes from them.
+func Run(ctx context.Context, sims *sim.Suite, spec Spec, progress func(Progress)) (*Result, error) {
+	ns, err := Normalize(spec, sims.Options())
 	if err != nil {
 		return nil, err
 	}
@@ -586,7 +556,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 	if err != nil {
 		return nil, err
 	}
-	r := &run{eng: e, spec: ns, points: points, progress: progress}
+	r := &run{sims: sims, spec: ns, points: points, progress: progress}
 
 	strat, err := strategyFor(ns.Strategy)
 	if err != nil {

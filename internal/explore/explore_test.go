@@ -192,8 +192,8 @@ func TestGridExploration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations; full tier only")
 	}
-	eng := New(sim.NewSuite(quickOpts()))
-	res, err := eng.Run(context.Background(), Spec{
+	sims := sim.NewSuite(quickOpts())
+	res, err := Run(context.Background(), sims, Spec{
 		Space: Space{Bases: []string{"ss1", "ss2", "shrec", "diva"}},
 	}, nil)
 	if err != nil {
@@ -239,8 +239,8 @@ func TestCoverageObjective(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fault campaigns; full tier only")
 	}
-	eng := New(sim.NewSuite(quickOpts()))
-	res, err := eng.Run(context.Background(), Spec{
+	sims := sim.NewSuite(quickOpts())
+	res, err := Run(context.Background(), sims, Spec{
 		Space: Space{
 			Bases:      []string{"ss1", "shrec"},
 			FaultRates: []float64{2e-4},
@@ -300,7 +300,7 @@ func TestExploreResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	killedAt := 0
-	_, err = New(sim.NewSuite(quickOpts()).WithStore(st)).Run(ctx, spec, func(p Progress) {
+	_, err = Run(ctx, sim.NewSuite(quickOpts()).WithStore(st), spec, func(p Progress) {
 		if p.Done >= 3 && killedAt == 0 {
 			killedAt = p.Done
 			cancel()
@@ -325,7 +325,7 @@ func TestExploreResume(t *testing.T) {
 	}
 	defer st2.Close()
 	sims := sim.NewSuite(quickOpts())
-	res, err := New(sims.WithStore(st2)).Run(context.Background(), spec, nil)
+	res, err := Run(context.Background(), sims.WithStore(st2), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestTrialsIgnoredByUnfaultedKeys(t *testing.T) {
 	}
 	defer st.Close()
 	spec := Spec{Space: Space{Bases: []string{"ss1", "shrec"}}, Seed: 3}
-	first, err := New(sim.NewSuite(quickOpts()).WithStore(st)).Run(context.Background(), spec, nil)
+	first, err := Run(context.Background(), sim.NewSuite(quickOpts()).WithStore(st), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestTrialsIgnoredByUnfaultedKeys(t *testing.T) {
 		t.Fatalf("first run executed %d", first.Executed)
 	}
 	spec.Trials = 100 // irrelevant to fault-free points
-	again, err := New(sim.NewSuite(quickOpts()).WithStore(st)).Run(context.Background(), spec, nil)
+	again, err := Run(context.Background(), sim.NewSuite(quickOpts()).WithStore(st), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,10 +394,10 @@ func TestProgressSerialized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations; full tier only")
 	}
-	eng := New(sim.NewSuite(quickOpts()))
+	sims := sim.NewSuite(quickOpts())
 	last := Progress{}
 	n := 0
-	_, err := eng.Run(context.Background(), Spec{
+	_, err := Run(context.Background(), sims, Spec{
 		Space: Space{Bases: []string{"ss1", "shrec"}},
 	}, func(p Progress) {
 		n++

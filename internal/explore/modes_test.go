@@ -164,8 +164,8 @@ func TestMEEKDominatesSHRECOnCostCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fault campaigns; full tier only")
 	}
-	eng := New(sim.NewSuite(quickOpts()))
-	res, err := eng.Run(context.Background(), Spec{
+	sims := sim.NewSuite(quickOpts())
+	res, err := Run(context.Background(), sims, Spec{
 		Space: Space{
 			Bases:      []string{"shrec", "meek@2"},
 			FaultRates: []float64{3e-4},

@@ -122,7 +122,7 @@ func TestAvailabilityObjective(t *testing.T) {
 	if !spec.hasAvailability() {
 		t.Fatal("spec sweeps recovery under fault injection but hasAvailability is false")
 	}
-	res, err := New(sim.NewSuite(quickOpts())).Run(context.Background(), spec, nil)
+	res, err := Run(context.Background(), sim.NewSuite(quickOpts()), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

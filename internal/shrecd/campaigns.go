@@ -16,7 +16,7 @@ func (s *Server) campaignKind() *jobKind[campaign.Spec, campaign.Progress, *camp
 		prefix:   "/campaigns",
 		maxBody:  64 << 10,
 		prepare:  s.prepareCampaign,
-		run:      s.camp.Run,
+		run:      campaign.Run,
 	}
 }
 

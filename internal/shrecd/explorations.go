@@ -16,7 +16,7 @@ func (s *Server) explorationKind() *jobKind[explore.Spec, explore.Progress, *exp
 		prefix:   "/explorations",
 		maxBody:  256 << 10,
 		prepare:  s.prepareExploration,
-		run:      s.expl.Run,
+		run:      explore.Run,
 		status: func(res *explore.Result, st *jobStatus[explore.Spec, explore.Progress]) {
 			for _, ev := range res.FrontierEvals() {
 				st.Frontier = append(st.Frontier, ev.Spec)

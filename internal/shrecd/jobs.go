@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -273,9 +274,9 @@ type jobKind[S, P any, R reporter] struct {
 	// prepare normalizes a decoded request spec and applies the kind's
 	// cost caps; any error is the client's (400).
 	prepare func(raw S) (S, error)
-	// run is the engine: it drives one job to its result, reporting
-	// progress snapshots as it goes.
-	run func(ctx context.Context, spec S, progress func(P)) (R, error)
+	// run is the engine: it drives one job to its result on the server's
+	// suite, reporting progress snapshots as it goes.
+	run func(ctx context.Context, sims *sim.Suite, spec S, progress func(P)) (R, error)
 	// status, when set, adds kind-specific fields to the status of a
 	// finished job.
 	status func(res R, st *jobStatus[S, P])
@@ -403,7 +404,7 @@ func (k *jobKind[S, P, R]) runJob(job *asyncJob[S, P, R]) {
 	job.setCancel(cancel)
 	defer cancel()
 	ctx, done := s.startJobTelemetry(ctx, k.kind, job.id, job, job.started)
-	res, err := k.run(ctx, job.spec, job.setProgress)
+	res, err := k.run(ctx, s.sims, job.spec, job.setProgress)
 	done(err)
 	if job.finish(res, err) && !s.interrupted(err) {
 		s.journal.finish(k.kind, job.id, err)

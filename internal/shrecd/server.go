@@ -116,8 +116,6 @@ type Server struct {
 	cfg   Config
 	sims  *sim.Suite
 	exp   *experiments.Suite
-	camp  *campaign.Engine
-	expl  *explore.Engine
 	sem   chan struct{}
 	start time.Time
 
@@ -207,8 +205,6 @@ func NewWith(cfg Config, sims *sim.Suite) *Server {
 		cfg:      cfg,
 		sims:     sims,
 		exp:      experiments.NewSuite(sims),
-		camp:     campaign.New(sims),
-		expl:     explore.New(sims),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		start:    time.Now(),
 		baseCtx:  ctx,

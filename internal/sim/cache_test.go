@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -34,7 +35,7 @@ func TestConcurrentGetSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := s.Get(context.Background(), m, p)
+			res, err := s.GetOpt(context.Background(), m, p, s.Options())
 			if err != nil {
 				t.Error(err)
 				return
@@ -82,10 +83,10 @@ func TestCacheCounterSplit(t *testing.T) {
 	p, _ := workload.ByName("gzip-graphic")
 	ctx := context.Background()
 
-	if _, err := s.Get(ctx, m, p); err != nil {
+	if _, err := s.GetOpt(ctx, m, p, s.Options()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(ctx, m, p); err != nil {
+	if _, err := s.GetOpt(ctx, m, p, s.Options()); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := s.Counters(), (Counters{Runs: 1, Hits: 1, CacheHits: 1, CacheMisses: 1, TapeBuilds: 1}); got != want {
@@ -95,7 +96,7 @@ func TestCacheCounterSplit(t *testing.T) {
 	// A fresh suite over the same store must classify the serve as a
 	// cache miss satisfied by the store, not a run.
 	s2 := NewSuite(tinyOpts()).WithStore(st)
-	if _, err := s2.Get(ctx, m, p); err != nil {
+	if _, err := s2.GetOpt(ctx, m, p, s2.Options()); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := s2.Counters(), (Counters{Hits: 1, CacheMisses: 1, StoreHits: 1}); got != want {
@@ -179,7 +180,7 @@ func TestBatchGetDeduplication(t *testing.T) {
 			wg.Add(1)
 			go func(m config.Machine, p trace.Profile) {
 				defer wg.Done()
-				if _, err := s.Get(ctx, m, p); err != nil {
+				if _, err := s.GetOpt(ctx, m, p, s.Options()); err != nil {
 					t.Error(err)
 				}
 			}(m, p)
@@ -214,7 +215,7 @@ func TestBatchAggregatesAllErrors(t *testing.T) {
 		t.Fatalf("error dropped a failure: %v", err)
 	}
 	// The valid machine's result must still have been computed and cached.
-	if _, err := s.Get(context.Background(), config.SS1(), profiles[0]); err != nil {
+	if _, err := s.GetOpt(context.Background(), config.SS1(), profiles[0], s.Options()); err != nil {
 		t.Fatalf("healthy run poisoned by sibling errors: %v", err)
 	}
 	if s.Counters().Runs != 1 {
@@ -263,13 +264,13 @@ func TestWaiterCancellation(t *testing.T) {
 	owner := make(chan struct{})
 	go func() {
 		defer close(owner)
-		_, _ = s.Get(bg, m, p) // long run, cancelled at test end
+		_, _ = s.GetOpt(bg, m, p, s.Options()) // long run, cancelled at test end
 	}()
 
 	time.Sleep(20 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := s.Get(ctx, m, p)
+	_, err := s.GetOpt(ctx, m, p, s.Options())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("waiter error = %v, want deadline exceeded", err)
 	}
@@ -290,7 +291,7 @@ func TestSuiteStoreReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1 := NewSuite(tinyOpts()).WithStore(st1)
-	res1, err := s1.Get(ctx, m, p)
+	res1, err := s1.GetOpt(ctx, m, p, s1.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestSuiteStoreReuse(t *testing.T) {
 	}
 	defer st2.Close()
 	s2 := NewSuite(tinyOpts()).WithStore(st2)
-	res2, err := s2.Get(ctx, m, p)
+	res2, err := s2.GetOpt(ctx, m, p, s2.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,5 +338,47 @@ func TestResultsSnapshot(t *testing.T) {
 			t.Fatalf("results unsorted at %d: %s/%s after %s/%s",
 				i, b.Machine, b.Benchmark, a.Machine, a.Benchmark)
 		}
+	}
+}
+
+// A result's bytes depend on its key alone: one simulated at
+// parallelism 1 and served from the store at parallelism 2 marshals
+// exactly like a fresh run at parallelism 2.
+func TestParallelismNotInResult(t *testing.T) {
+	m := config.SS1()
+	p, _ := workload.ByName("crafty")
+	ctx := context.Background()
+	at := func(par int) Options {
+		opt := tinyOpts()
+		opt.Parallelism = par
+		return opt
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := NewSuite(at(1)).WithStore(st).GetOpt(ctx, m, p, at(1)); err != nil {
+		t.Fatal(err)
+	}
+	stored := NewSuite(at(2)).WithStore(st)
+	served, err := stored.GetOpt(ctx, m, p, at(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored.Counters().StoreHits != 1 {
+		t.Fatalf("counters %+v, want one store hit", stored.Counters())
+	}
+	fresh, err := NewSuite(at(2)).GetOpt(ctx, m, p, at(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(served)
+	b, _ := json.Marshal(fresh)
+	if string(a) != string(b) {
+		t.Fatalf("store hit at parallelism 2 differs from a fresh run:\n%s\n%s", a, b)
+	}
+	if fresh.Options.Parallelism != 0 {
+		t.Fatalf("result options carry parallelism %d", fresh.Options.Parallelism)
 	}
 }

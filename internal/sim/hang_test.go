@@ -18,7 +18,7 @@ func TestHungResult(t *testing.T) {
 	}
 	opt := Options{WarmupInstrs: 0, MeasureInstrs: 50_000, MaxCycles: 64}
 	s := NewSuite(opt)
-	res, err := s.Get(context.Background(), config.SS1(), p)
+	res, err := s.GetOpt(context.Background(), config.SS1(), p, s.Options())
 	if err != nil {
 		t.Fatalf("budgeted run errored: %v", err)
 	}
@@ -28,7 +28,7 @@ func TestHungResult(t *testing.T) {
 	if res.Stats.Retired >= opt.MeasureInstrs {
 		t.Fatal("hung result claims full retirement")
 	}
-	if _, err := s.Get(context.Background(), config.SS1(), p); err != nil {
+	if _, err := s.GetOpt(context.Background(), config.SS1(), p, s.Options()); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Counters().Runs; got != 1 {
@@ -51,11 +51,11 @@ func TestFaultConfigsDoNotCollide(t *testing.T) {
 	b := a
 	b.FaultSeed = 2
 
-	ra, err := s.Get(context.Background(), a, p)
+	ra, err := s.GetOpt(context.Background(), a, p, s.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := s.Get(context.Background(), b, p)
+	rb, err := s.GetOpt(context.Background(), b, p, s.Options())
 	if err != nil {
 		t.Fatal(err)
 	}

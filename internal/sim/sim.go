@@ -1,7 +1,7 @@
 // Package sim drives simulations: it runs (machine, workload) pairs with
-// cache/predictor warmup, caches results, parallelizes across cores, and
-// aggregates IPCs the way the paper does (harmonic means over benchmark
-// classes).
+// cache/predictor warmup, caches results, and is the one place the
+// drivers fan work out across cores (Suite.FanOut). Aggregating results
+// into the paper's figures is the drivers' job.
 //
 // The Suite is safe for concurrent use: one mutex guards its result
 // cache, duplicate in-flight requests for the same (machine, benchmark,
@@ -27,7 +27,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/recovery"
-	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -48,14 +47,6 @@ type Options struct {
 	// stops early and returns a Result with Hung set instead of an error.
 	// Fault campaigns use it to classify recovery livelocks.
 	MaxCycles int64
-}
-
-// parallelism returns the effective worker bound.
-func (o Options) parallelism() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // DefaultOptions returns the experiment-scale run lengths.
@@ -81,7 +72,9 @@ type Result struct {
 	Machine string
 	// Options records the run lengths that produced this result, so rows
 	// for the same (machine, benchmark) at different scales stay
-	// distinguishable in listings.
+	// distinguishable in listings. Its Parallelism is always 0: it does
+	// not affect results, so one key's result bytes do not depend on the
+	// process that computed them.
 	Options Options
 	// Hung reports that the run exhausted Options.MaxCycles before
 	// retiring the requested instructions; Stats then holds the partial
@@ -177,6 +170,7 @@ func measureOrRecover(ctx context.Context, e *core.Engine, m config.Machine, n u
 }
 
 func newResult(m config.Machine, p trace.Profile, opt Options, st core.Stats, tr *recovery.Trace, hung bool) Result {
+	opt.Parallelism = 0
 	return Result{
 		Benchmark: p.Name,
 		Class:     p.Class,
@@ -491,11 +485,6 @@ func digest(m config.Machine, p trace.Profile, opt Options) string {
 	return store.Digest("sim.Result.v7", m, p, opt.WarmupInstrs, opt.MeasureInstrs, opt.MaxCycles, 1)
 }
 
-// Get returns the cached result, running the simulation if needed.
-func (s *Suite) Get(ctx context.Context, m config.Machine, p trace.Profile) (Result, error) {
-	return s.GetOpt(ctx, m, p, s.opt)
-}
-
 // GetOpt is Fetch without the ran report, used by servers that accept
 // request-scoped options.
 func (s *Suite) GetOpt(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
@@ -624,6 +613,9 @@ func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, 
 		s.observeStage(ctx, "store_fetch", fetch)
 		if err == nil && ok {
 			s.storeHits.Add(1)
+			// Records written before Result.Options dropped Parallelism
+			// still carry the writer's.
+			res.Options.Parallelism = 0
 			return res, false, nil
 		}
 	}
@@ -889,12 +881,11 @@ func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Pro
 
 // Batch runs every (machine, profile) pair, in parallel, reusing cached
 // and in-flight results, and returns them in machines-major order:
-// results[i*len(profiles)+j] is machines[i] on profiles[j]. It dispatches
-// the pairs profile-major to the suite's parallelism in workers, so every
-// machine replays a profile's tape before the tape cache moves on to the
-// next profile. Unlike a first-error fan-out, it waits for every worker
-// and returns all failures joined (see JoinFanOut), so one bad
-// configuration does not hide the others.
+// results[i*len(profiles)+j] is machines[i] on profiles[j]. It fans the
+// pairs out profile-major (see FanOut), so every machine replays a
+// profile's tape before the tape cache moves on to the next profile. Like
+// FanOut, it waits for every pair and returns all failures joined, so one
+// bad configuration does not hide the others.
 func (s *Suite) Batch(ctx context.Context, machines []config.Machine, profiles []trace.Profile) ([]Result, error) {
 	type job struct {
 		i int // index into out
@@ -919,66 +910,64 @@ func (s *Suite) Batch(ctx context.Context, machines []config.Machine, profiles [
 	}
 	s.mu.Unlock()
 
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	errs := make([]error, len(jobs))
-	for w := 0; w < min(s.opt.parallelism(), len(jobs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				j := jobs[i]
-				res, err := s.GetOpt(ctx, j.m, j.p, s.opt)
-				if err != nil {
-					errs[i] = fmt.Errorf("%s on %s: %w", j.m.Name, j.p.Name, err)
-					continue
-				}
-				out[j.i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	if err := JoinFanOut(ctx, errs, func(done, total int) error {
-		return fmt.Errorf("sim: batch interrupted: %w", ctx.Err())
-	}); err != nil {
+	err := s.FanOut(ctx, "sim: batch", "pairs", len(jobs), func(i int) error {
+		j := jobs[i]
+		res, err := s.GetOpt(ctx, j.m, j.p, s.opt)
+		if err != nil {
+			return fmt.Errorf("%s on %s: %w", j.m.Name, j.p.Name, err)
+		}
+		out[j.i] = res
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// JoinFanOut reports the outcome of a fan-out whose workers recorded
-// their failures in errs (nil for a worker that succeeded). It joins the
-// non-nil errors in order; when every worker succeeded it returns nil,
-// even if ctx expired in the final window, since the results are fully
-// computed. After a cancellation, the errors that are only ctx.Err()
-// cascading into outstanding workers collapse into one error built by
-// interrupted from the count of workers that succeeded and the total,
-// and only the genuine failures are kept beside it.
-func JoinFanOut(ctx context.Context, errs []error, interrupted func(done, total int) error) error {
-	failed := make([]error, 0, len(errs))
+// FanOut calls fn(i) for every i in [0, n) on at most the suite's
+// parallelism of goroutines, in index order of dispatch, and waits for
+// all of them. Simulations inside fn still queue on the suite's own
+// bound, so fan-outs may nest (an exploration's points each run a
+// campaign's trials). FanOut joins the failures in index order; when
+// every call succeeded it returns nil, even if ctx expired in the final
+// window, since the work is complete. After a cancellation, the failures
+// that only cascade ctx.Err() collapse into one "who: interrupted with d
+// of n what done" error, kept beside the genuine failures.
+func (s *Suite) FanOut(ctx context.Context, who, what string, n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(s.opt.Parallelism, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+
+	var failed []error
 	for _, err := range errs {
 		if err != nil {
 			failed = append(failed, err)
 		}
 	}
-	if len(failed) == 0 {
-		return nil
-	}
 	ctxErr := ctx.Err()
-	if ctxErr == nil {
+	if len(failed) == 0 || ctxErr == nil {
 		return errors.Join(failed...)
 	}
-	real := make([]error, 0, len(failed))
+	var real []error
 	for _, err := range failed {
 		if !errors.Is(err, ctxErr) {
 			real = append(real, err)
 		}
 	}
-	return errors.Join(append(real, interrupted(len(errs)-len(failed), len(errs)))...)
+	real = append(real, fmt.Errorf("%s: interrupted with %d of %d %s done: %w",
+		who, n-len(failed), n, what, ctxErr))
+	return errors.Join(real...)
 }
 
 // Len reports how many results are cached without copying any entries —
@@ -1013,61 +1002,4 @@ func (s *Suite) Results() []Result {
 		return a.Options.MeasureInstrs < b.Options.MeasureInstrs
 	})
 	return out
-}
-
-// IPC is a convenience accessor.
-func (s *Suite) IPC(ctx context.Context, m config.Machine, p trace.Profile) (float64, error) {
-	res, err := s.Get(ctx, m, p)
-	if err != nil {
-		return 0, err
-	}
-	return res.IPC(), nil
-}
-
-// ClassAverages holds the paper's three harmonic-mean aggregates for one
-// benchmark class (integer or floating point).
-type ClassAverages struct {
-	// All is the harmonic-mean IPC over every profile in the class; High
-	// and Low restrict it to the paper's high- and low-IPC groups.
-	All, High, Low float64
-}
-
-// Averages computes harmonic-mean IPCs over profiles for one machine,
-// split into the paper's overall/high-IPC/low-IPC aggregates.
-func (s *Suite) Averages(ctx context.Context, m config.Machine, profiles []trace.Profile) (ClassAverages, error) {
-	var all, high, low []float64
-	for _, p := range profiles {
-		res, err := s.Get(ctx, m, p)
-		if err != nil {
-			return ClassAverages{}, err
-		}
-		ipc := res.IPC()
-		all = append(all, ipc)
-		if p.HighIPC {
-			high = append(high, ipc)
-		} else {
-			low = append(low, ipc)
-		}
-	}
-	return ClassAverages{
-		All:  stats.HarmonicMean(all),
-		High: stats.HarmonicMean(high),
-		Low:  stats.HarmonicMean(low),
-	}, nil
-}
-
-// MeanCPI returns the arithmetic-mean CPI over profiles for one machine.
-// CPI is additive across equal instruction counts, so arithmetic means are
-// the correct aggregate for factorial analysis (the paper analyzes CPI for
-// the same reason).
-func (s *Suite) MeanCPI(ctx context.Context, m config.Machine, profiles []trace.Profile) (float64, error) {
-	var sum float64
-	for _, p := range profiles {
-		res, err := s.Get(ctx, m, p)
-		if err != nil {
-			return 0, err
-		}
-		sum += res.CPI()
-	}
-	return sum / float64(len(profiles)), nil
 }

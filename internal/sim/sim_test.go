@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/workload"
@@ -60,11 +62,11 @@ func TestSuiteBatchAndCache(t *testing.T) {
 	}
 	// Cached access must return identical values, and Batch returns them
 	// machines-major: cold[i*len(profiles)+j] is machines[i] on profiles[j].
-	r1, err := s.Get(context.Background(), machines[1], profiles[2])
+	r1, err := s.GetOpt(context.Background(), machines[1], profiles[2], s.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := s.Get(context.Background(), machines[1], profiles[2])
+	r2, _ := s.GetOpt(context.Background(), machines[1], profiles[2], s.Options())
 	if r1.Stats != r2.Stats || cold[1*len(profiles)+2].Stats != r1.Stats {
 		t.Fatal("cache returned different results")
 	}
@@ -85,42 +87,6 @@ func TestSuiteBatchAndCache(t *testing.T) {
 	}
 }
 
-func TestAverages(t *testing.T) {
-	s := NewSuite(tinyOpts())
-	profiles := workload.Integer()
-	av, err := s.Averages(context.Background(), config.SS1(), profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if av.All <= 0 || av.High <= 0 || av.Low <= 0 {
-		t.Fatalf("averages = %+v", av)
-	}
-	// Harmonic mean over all must lie between the subset means.
-	lo, hi := av.Low, av.High
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if av.All < lo || av.All > hi {
-		t.Fatalf("overall %v outside [%v, %v]", av.All, lo, hi)
-	}
-	// The high-IPC subset must in fact be faster.
-	if av.High <= av.Low {
-		t.Fatalf("high %v <= low %v", av.High, av.Low)
-	}
-}
-
-func TestMeanCPI(t *testing.T) {
-	s := NewSuite(tinyOpts())
-	profiles := workload.Integer()[:2]
-	cpi, err := s.MeanCPI(context.Background(), config.SS1(), profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cpi <= 0 || cpi > 50 {
-		t.Fatalf("mean CPI = %v", cpi)
-	}
-}
-
 func TestErrorsPropagate(t *testing.T) {
 	p, _ := workload.ByName("swim")
 	bad := config.SS1()
@@ -131,18 +97,16 @@ func TestErrorsPropagate(t *testing.T) {
 	}
 }
 
-// TestJoinFanOut pins how a fan-out reports its workers' failures: all
-// of them joined in order, except that after a cancellation the errors
-// that only cascade ctx.Err() collapse into one interruption error.
+// TestJoinFanOut pins how FanOut reports its calls' failures: all of
+// them joined in index order, except that after a cancellation the
+// errors that only cascade ctx.Err() collapse into one interruption
+// error.
 func TestJoinFanOut(t *testing.T) {
 	live := context.Background()
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	boom := errors.New("boom")
 	cascade := fmt.Errorf("worker: %w", context.Canceled)
-	interrupted := func(done, total int) error {
-		return fmt.Errorf("interrupted with %d of %d done: %w", done, total, context.Canceled)
-	}
 	for _, tc := range []struct {
 		name string
 		ctx  context.Context
@@ -151,12 +115,13 @@ func TestJoinFanOut(t *testing.T) {
 	}{
 		{"all nil", cancelled, []error{nil, nil, nil}, ""},
 		{"genuine failure", live, []error{nil, boom, nil}, "boom"},
-		{"pure cascade", cancelled, []error{nil, cascade, cascade}, "interrupted with 1 of 3 done: context canceled"},
+		{"pure cascade", cancelled, []error{nil, cascade, cascade}, "test: interrupted with 1 of 3 jobs done: context canceled"},
 		{"failure and cascade", cancelled, []error{boom, nil, cascade, nil},
-			"boom\ninterrupted with 2 of 4 done: context canceled"},
+			"boom\ntest: interrupted with 2 of 4 jobs done: context canceled"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := JoinFanOut(tc.ctx, tc.errs, interrupted)
+			s := NewSuite(Options{Parallelism: 2})
+			err := s.FanOut(tc.ctx, "test", "jobs", len(tc.errs), func(i int) error { return tc.errs[i] })
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("err = %v, want nil", err)
@@ -167,6 +132,42 @@ func TestJoinFanOut(t *testing.T) {
 				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// FanOut calls fn exactly once per index, never on more goroutines at
+// once than the suite's parallelism, and joins failures in index order
+// whatever order the calls finish in.
+func TestFanOut(t *testing.T) {
+	const n, par = 200, 3
+	s := NewSuite(Options{Parallelism: par})
+	calls := make([]atomic.Int32, n)
+	var running, peak atomic.Int32
+	err := s.FanOut(context.Background(), "test", "jobs", n, func(i int) error {
+		r := running.Add(1)
+		for p := peak.Load(); r > p && !peak.CompareAndSwap(p, r); p = peak.Load() {
+		}
+		defer running.Add(-1)
+		calls[i].Add(1)
+		time.Sleep(time.Duration(n-i) * time.Microsecond)
+		if i%50 == 7 {
+			return fmt.Errorf("job %d", i)
+		}
+		return nil
+	})
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("index %d ran %d times", i, c)
+		}
+	}
+	if p := peak.Load(); p > par {
+		t.Fatalf("%d concurrent calls, parallelism %d", p, par)
+	}
+	if got, want := fmt.Sprint(err), "job 7\njob 57\njob 107\njob 157"; got != want {
+		t.Fatalf("err = %q, want %q", got, want)
+	}
+	if err := s.FanOut(context.Background(), "test", "jobs", 0, nil); err != nil {
+		t.Fatalf("empty fan-out: %v", err)
 	}
 }
 

@@ -108,7 +108,7 @@ func identityMachines() []config.Machine {
 }
 
 // campaignRuns issues one fault campaign's requests to s as
-// campaign.Engine.Run does: the fault-free golden run of m, counting the
+// campaign.Run does: the fault-free golden run of m, counting the
 // injection sites of the trials' window, then one fault-injected trial per
 // seed, concurrently, under a hang budget of four golden runs. It returns
 // every result as JSON, the golden run's first.

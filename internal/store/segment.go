@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -109,13 +110,15 @@ func segName(gen int) string {
 }
 
 // parseSegName extracts the generation from a segment filename,
-// including the other shards' files of an earlier version's layout.
+// including the other shards' files of an earlier version's layout. The
+// match is strict: the name must be exactly what that layout renders, so
+// a compaction's "shard-00-00000N.seg.tmp" is not a segment.
 func parseSegName(name string) (gen int, ok bool) {
 	var shard int
 	if n, err := fmt.Sscanf(name, "shard-%d-%d.seg", &shard, &gen); err != nil || n != 2 {
 		return 0, false
 	}
-	return gen, true
+	return gen, name == fmt.Sprintf("shard-%02d-%06d.seg", shard, gen)
 }
 
 // loadSegments scans every segment file: good records build the index
@@ -123,6 +126,12 @@ func parseSegName(name string) (gen int, ok bool) {
 // regions are skipped and quarantined. No corruption class fails the
 // open — the worst case for a record is that it must be recomputed. The
 // file of the highest generation becomes the append segment.
+//
+// A compaction's temporary file ("<segment>.tmp") left by a crash before
+// its rename is scanned too, since an earlier version appended live
+// records to one, but never becomes the append segment: the open then
+// compacts once, so its records land in a real segment and the temporary
+// file is removed.
 func (s *Store) loadSegments() error {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -131,11 +140,15 @@ func (s *Store) loadSegments() error {
 	type seg struct {
 		gen  int
 		path string
+		tmp  bool
 	}
 	var segs []seg
+	temps := false
 	for _, e := range ents {
-		if gen, ok := parseSegName(e.Name()); ok {
-			segs = append(segs, seg{gen, filepath.Join(s.dir, e.Name())})
+		name, tmp := strings.CutSuffix(e.Name(), ".tmp")
+		if gen, ok := parseSegName(name); ok {
+			segs = append(segs, seg{gen, filepath.Join(s.dir, e.Name()), tmp})
+			temps = temps || tmp
 		}
 	}
 	// Generation order, then name (ReadDir sorts by name): this is write
@@ -147,7 +160,17 @@ func (s *Store) loadSegments() error {
 			return err
 		}
 		s.files = append(s.files, sg.path)
-		s.gen, s.path, s.size = sg.gen, sg.path, top
+		// A temporary file counts here too, so the next compaction names
+		// a generation above every file's.
+		s.gen = sg.gen
+		if !sg.tmp {
+			s.path, s.size = sg.path, top
+		}
+	}
+	if temps {
+		// As in Put, compaction trouble leaves the records served from
+		// the index; the temporary file is then scanned again next open.
+		_ = s.compactLocked()
 	}
 	return nil
 }

@@ -484,3 +484,74 @@ func TestSyncAlwaysPolicy(t *testing.T) {
 		t.Fatalf("len = %d, want 10", s2.Len())
 	}
 }
+
+// TestOpenCompactionTempFile opens a store whose last compaction crashed
+// before renaming its temporary file, after an earlier version had made
+// that file the append segment and appended a live record to it. Segment
+// names match strictly, so the temporary file is never the append
+// segment; its records are still served, and the open compacts them into
+// a real segment and removes the temporary file.
+func TestOpenCompactionTempFile(t *testing.T) {
+	for name, want := range map[string]bool{
+		"shard-00-000005.seg": true, "shard-03-000012.seg": true,
+		"shard-00-000005.seg.tmp": false, "shard-00-000005.seg.seg": false,
+		"shard-0-5.seg": false, "quarantine.log": false,
+	} {
+		if _, ok := parseSegName(name); ok != want {
+			t.Errorf("parseSegName(%q) ok = %v, want %v", name, ok, want)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "s")
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := func(seq uint64, key string) []byte {
+		return EncodeRecord(seq, key, []byte(fmt.Sprintf(`{"name":%q,"value":%d}`, key, seq)))
+	}
+	files := map[string][]byte{
+		SegName(1):          rec(1, "a"),
+		SegName(2) + ".tmp": append(rec(1, "a"), rec(2, "b")...),
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(path, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(s *Store, keys ...string) {
+		t.Helper()
+		if strings.HasSuffix(s.ActiveSegment(), ".tmp") {
+			t.Fatalf("append segment is the temporary file %s", s.ActiveSegment())
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(path, "*.tmp")); len(tmps) != 0 {
+			t.Fatalf("temporary files left after open: %v", tmps)
+		}
+		for i, k := range keys {
+			var out payload
+			if ok, err := s.Get(k, &out); err != nil || !ok || out != (payload{k, float64(i + 1)}) {
+				t.Fatalf("key %s: ok=%v err=%v %+v", k, ok, err, out)
+			}
+		}
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s, "a", "b")
+	if err := s.Put("c", payload{"c", 3}); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "a", "b", "c")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s, "a", "b", "c")
+	if st := s.Stats(); st.Segments != 1 || st.Keys != 3 {
+		t.Fatalf("stats after reopen = %+v, want one segment of 3 keys", st)
+	}
+}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -11,7 +10,7 @@ import (
 
 // HTTPMetrics instruments an http.ServeMux: per-route request counts by
 // status class, an in-flight gauge, per-route latency histograms, a
-// request ID on every request (context + X-Request-Id header), and a
+// request ID on every response (the X-Request-Id header), and a
 // structured access log carrying all of it.
 type HTTPMetrics struct {
 	requests *CounterVec   // {route, code}: code is the status class ("2xx")
@@ -37,20 +36,6 @@ func NewHTTPMetrics(reg *Registry, namespace string, log *slog.Logger) *HTTPMetr
 			"HTTP requests currently being served."),
 		log: log,
 	}
-}
-
-type requestIDKey struct{}
-
-// WithRequestID attaches a request ID to the context.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
-}
-
-// RequestIDFrom returns the context's request ID ("" when absent), so
-// handlers can stamp it onto their own log records.
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
 }
 
 // statusRecorder captures the response status for the metrics and log.
@@ -80,7 +65,6 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter 
 func (m *HTTPMetrics) Wrap(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := requestID(m.nextID.Add(1))
-		r = r.WithContext(WithRequestID(r.Context(), id))
 		w.Header().Set("X-Request-Id", id)
 
 		route := "unmatched"

@@ -68,16 +68,6 @@ func (s *Span) Record(phase string, d time.Duration) {
 	}
 }
 
-// Time starts timing the named phase; the returned stop function records
-// the elapsed duration. Usable as `defer span.Time("x")()`.
-func (s *Span) Time(phase string) func() {
-	if s == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { s.Record(phase, time.Since(start)) }
-}
-
 // PhaseStat is one phase of a span breakdown, as surfaced in job status
 // JSON.
 type PhaseStat struct {

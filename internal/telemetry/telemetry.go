@@ -357,19 +357,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.with(values, func() *series { return &series{counter: &Counter{}} }).counter
 }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or returns) the gauge family name.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, kindGauge, labels, nil)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.with(values, func() *series { return &series{gauge: &Gauge{}} }).gauge
-}
-
 // HistogramVec is a labeled histogram family.
 type HistogramVec struct{ f *family }
 

@@ -12,13 +12,11 @@ import (
 // ---------------------------------------------------------------------------
 // Job: the unified async-operation API.
 //
-// Campaigns and explorations are the client's two long-running operations;
-// both used to be synchronous methods with an ad-hoc progress callback
-// parameter. Job unifies them: StartCampaign and StartExplore return
-// immediately with a typed handle that the caller can wait on, poll, or
-// cancel, and progress delivery is a functional option (WithProgress)
-// rather than a positional parameter. The old synchronous methods remain
-// as thin wrappers.
+// Campaigns and explorations are the client's two long-running operations.
+// StartCampaign and StartExplore return immediately with a typed handle
+// that the caller can wait on, poll, or cancel, and progress delivery is
+// a functional option (WithProgress). For a synchronous run, call Wait on
+// the handle.
 
 // ErrJobRunning is returned by Job.Result while the job is still running.
 var ErrJobRunning = errors.New("repro: job still running")
@@ -121,10 +119,9 @@ func (j *Job[S, P, R]) Cancel() { j.cancel() }
 // canceled or interrupted campaign resumes where it left off instead of
 // re-simulating.
 func (c *Client) StartCampaign(ctx context.Context, spec CampaignSpec, opts ...JobOption[CampaignProgress]) *CampaignJob {
-	eng := campaign.New(c.sims)
 	return startJob[CampaignSpec, CampaignProgress, CampaignResult](ctx, spec, opts,
 		func(ctx context.Context, progress func(CampaignProgress)) (*CampaignResult, error) {
-			return eng.Run(ctx, spec, progress)
+			return campaign.Run(ctx, c.sims, spec, progress)
 		})
 }
 
@@ -137,9 +134,8 @@ func (c *Client) StartCampaign(ctx context.Context, spec CampaignSpec, opts ...J
 // or interrupted exploration resumes where it left off instead of
 // re-simulating.
 func (c *Client) StartExplore(ctx context.Context, spec ExploreSpec, opts ...JobOption[ExploreProgress]) *ExploreJob {
-	eng := explore.New(c.sims)
 	return startJob[ExploreSpec, ExploreProgress, ExploreResult](ctx, spec, opts,
 		func(ctx context.Context, progress func(ExploreProgress)) (*ExploreResult, error) {
-			return eng.Run(ctx, spec, progress)
+			return explore.Run(ctx, c.sims, spec, progress)
 		})
 }
